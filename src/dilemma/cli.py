@@ -201,8 +201,9 @@ def _cmd_decide(args) -> int:
 # --- region ----------------------------------------------------------------
 
 def _cmd_region(args) -> int:
+    rows = pb_region(args.n, args.grid)
     print("theta,w,pb_optimal_exact,pb_optimal_sufficient")
-    for theta, w, exact, sufficient in pb_region(args.n, args.grid):
+    for theta, w, exact, sufficient in rows:
         print(f"{theta!r},{w!r},{int(exact)},{int(sufficient)}")
     return 0
 
@@ -300,6 +301,13 @@ def _int_arg(value: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
 
 
+def _digits_arg(value: str) -> int:
+    digits = _int_arg(value)
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value!r}")
+    return digits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilemma",
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, formats=("text", "json"), precision=6):
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--precision", type=_int_arg, default=precision,
+        p.add_argument("--precision", type=_digits_arg, default=precision,
                        help="significant digits (classify: decimals)")
 
     p = sub.add_parser("optimal", help="loss-minimizing rule")

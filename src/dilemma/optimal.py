@@ -26,10 +26,11 @@ which classes leave the optimal rule as competence grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, StructuralError
 from .rules import DecisionRule
 from .tables import TableClass, enumerate_classes, table_class, validate_class, validate_n
 
@@ -66,7 +67,12 @@ def g_eval(cls_or_table, eta) -> float:
     eta = float(eta)
     if eta <= 1.0:
         raise InvalidParameterError(f"eta must exceed 1, got {eta}")
-    return eta ** (-c.rho - c.alpha) + eta ** (-c.rho + c.alpha)
+    try:
+        return eta ** (-c.rho - c.alpha) + eta ** (-c.rho + c.alpha)
+    except OverflowError:
+        # a sum of positive terms beyond the float range exceeds every
+        # finite threshold, so inf keeps G < xi exact
+        return math.inf
 
 
 def eta_star(cls_or_table) -> float:
@@ -198,7 +204,8 @@ def optimal_rule(n: int, w, theta) -> DecisionRule:
     theta = _check_theta(theta)
     good = [c for c in enumerate_classes(n) if is_good(c, w, theta)]
     rule = DecisionRule.from_classes(n, good)
-    assert rule.admissible
+    if not rule.admissible:
+        raise StructuralError(f"good classes at n = {n} do not form an upper set")
     return rule
 
 
@@ -241,13 +248,13 @@ def classical_rule(kind: str, n: int) -> DecisionRule:
 def pb_region(n: int, resolution: int = 100):
     """Midpoint grid over (theta, w) with both premiss-wise optimality tests.
 
-    Yields (theta, w, exact, sufficient) rows, theta-major.
+    Returns an iterator of (theta, w, exact, sufficient) rows,
+    theta-major; the arguments are checked before it is returned.
     """
     validate_n(n)
     if resolution < 1:
         raise InvalidParameterError(f"resolution must be >= 1, got {resolution}")
-    for i in range(resolution):
-        theta = 0.5 + (i + 0.5) / (2.0 * resolution)
-        for j in range(resolution):
-            w = (j + 0.5) / resolution
-            yield (theta, w, pb_optimal(n, w, theta), pb_optimal_sufficient(w, theta))
+    thetas = [0.5 + (i + 0.5) / (2.0 * resolution) for i in range(resolution)]
+    ws = [(j + 0.5) / resolution for j in range(resolution)]
+    return ((theta, w, pb_optimal(n, w, theta), pb_optimal_sufficient(w, theta))
+            for theta in thetas for w in ws)

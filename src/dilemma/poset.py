@@ -20,24 +20,27 @@ every cover raises it by one.  Three poset modes exist:
 
 Upper sets of these posets are in bijection with monotone symmetric
 rules; the antichain of minimal elements is the compact encoding.
+Every order test looks only at covers: a set is an upper set when each
+upper cover of a member is a member, a member of an upper set is
+minimal when none of its lower covers is a member, and one upward
+search marks every node strictly above a set.  Each costs
+O(nodes + covers).
 
 Posets are immutable after construction and safe to share across
-threads; the lazily built comparability bitmap is an idempotent cache.
+threads; the comparability bitmap, built on first use by the antichain
+stream (which is bounded to small n), is an idempotent cache.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import InvalidParameterError, StructuralError
-from .tables import (TableClass, VoteTable, class_sort_key, enumerate_classes,
-                     enumerate_tables, node_sort_key, validate_n)
+from .tables import (TableClass, VoteTable, enumerate_classes, enumerate_tables,
+                     validate_n)
 
 MODES = ("extended", "quotient", "optimality_reduced")
-
-# comparability bitmaps are precomputed up to this size, DFS beyond
-_BITMAP_MAX_N = 9
 
 
 def _canon(x, y, z, t) -> VoteTable:
@@ -67,10 +70,13 @@ class Poset:
         self.covers = tuple(covers)
         self.index = {v: i for i, v in enumerate(self.nodes)}
         up = [[] for _ in self.nodes]
+        down = [[] for _ in self.nodes]
         for lo, hi in self.covers:
-            up[self.index[lo]].append(self.index[hi])
+            i, j = self.index[lo], self.index[hi]
+            up[i].append(j)
+            down[j].append(i)
         self._up = tuple(tuple(sorted(js)) for js in up)
-        self._masks = self._reach_masks() if n <= _BITMAP_MAX_N else None
+        self._down = tuple(tuple(sorted(js)) for js in down)
         self._comp = None
 
     def __len__(self):
@@ -89,61 +95,23 @@ class Poset:
             raise InvalidParameterError(
                 f"{node!r} is not a node of this {self.mode} poset") from None
 
-    def _reach_masks(self) -> list[int]:
-        # mask[i] = bitset of nodes >= i, including i; memoized post-order
-        # walk of the cover DAG (index order is not topological in
-        # optimality_reduced mode)
-        N = len(self.nodes)
-        masks = [0] * N
-        state = [0] * N
-        for s in range(N):
-            if state[s]:
-                continue
-            stack = [s]
-            while stack:
-                i = stack[-1]
-                if state[i] == 0:
-                    state[i] = 1
-                    stack.extend(j for j in self._up[i] if state[j] == 0)
-                else:
-                    stack.pop()
-                    if state[i] == 2:
-                        continue
-                    m = 1 << i
-                    for j in self._up[i]:
-                        m |= masks[j]
-                    masks[i] = m
-                    state[i] = 2
-        return masks
+    def strictly_above(self, idxs) -> set[int]:
+        """Indices of the nodes strictly above some node of ``idxs``.
 
-    def _reach_up(self, i: int) -> set[int]:
-        if self._masks is not None:
-            m = self._masks[i]
-            return {j for j in range(len(self.nodes)) if m >> j & 1}
-        seen = {i}
-        stack = [i]
+        One upward search over the covers from every index at once.
+        """
+        up = self._up
+        above = set()
+        stack = list(idxs)
         while stack:
-            for j in self._up[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
+            for j in up[stack.pop()]:
+                if j not in above:
+                    above.add(j)
                     stack.append(j)
-        return seen
+        return above
 
     def _leq_idx(self, a: int, b: int) -> bool:
-        if a == b:
-            return True
-        if self._masks is not None:
-            return bool(self._masks[a] >> b & 1)
-        stack = [a]
-        seen = {a}
-        while stack:
-            for j in self._up[stack.pop()]:
-                if j == b:
-                    return True
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return False
+        return a == b or b in self.strictly_above((a,))
 
     def leq(self, a, b) -> bool:
         """a <= b in this poset."""
@@ -154,17 +122,14 @@ class Poset:
         return self._leq_idx(ia, ib) or self._leq_idx(ib, ia)
 
     def _comp_masks(self) -> list[int]:
+        # comp[i] = bitset of the nodes comparable to i, i excluded; built
+        # on first use, since only the antichain stream needs it
         if self._comp is None:
-            masks = self._masks if self._masks is not None else self._reach_masks()
-            comp = [m & ~(1 << i) for i, m in enumerate(masks)]
-            for i, m in enumerate(masks):
-                m &= ~(1 << i)
-                j = 0
-                while m:
-                    if m & 1:
-                        comp[j] |= 1 << i
-                    m >>= 1
-                    j += 1
+            comp = [0] * len(self.nodes)
+            for i in range(len(self.nodes)):
+                for j in self.strictly_above((i,)):
+                    comp[i] |= 1 << j
+                    comp[j] |= 1 << i
             self._comp = comp
         return self._comp
 
@@ -173,27 +138,24 @@ class Poset:
         idxs = [self._idx(a) for a in antichain]
         if len(set(idxs)) != len(idxs):
             raise StructuralError(f"antichain has repeated nodes: {antichain!r}")
-        for p, a in enumerate(idxs):
-            for b in idxs[p + 1:]:
-                if self._leq_idx(a, b) or self._leq_idx(b, a):
-                    raise StructuralError(
-                        f"{self.nodes[a]!r} and {self.nodes[b]!r} are comparable")
-        closure = set()
-        for i in idxs:
-            closure |= self._reach_up(i)
+        closure = self.strictly_above(idxs)
+        if not closure.isdisjoint(idxs):
+            # some member lies above another; find the pair to name it
+            for p, a in enumerate(idxs):
+                for b in idxs[p + 1:]:
+                    if self._leq_idx(a, b) or self._leq_idx(b, a):
+                        raise StructuralError(
+                            f"{self.nodes[a]!r} and {self.nodes[b]!r} are comparable")
+        closure.update(idxs)
         return frozenset(self.nodes[i] for i in closure)
 
     def minimal_elements(self, nodes) -> tuple:
         """Minimal elements of an upper set, in node order."""
-        idxs = sorted({self._idx(v) for v in nodes})
-        minimal = [i for i in idxs
-                   if not any(j != i and self._leq_idx(j, i) for j in idxs)]
-        closure = set()
-        for i in minimal:
-            closure |= self._reach_up(i)
-        if closure != set(idxs):
+        idxs = {self._idx(v) for v in nodes}
+        if any(j not in idxs for i in idxs for j in self._up[i]):
             raise StructuralError("input node set is not an upper set")
-        return tuple(self.nodes[i] for i in minimal)
+        return tuple(self.nodes[i] for i in sorted(idxs)
+                     if idxs.isdisjoint(self._down[i]))
 
     def antichains(self, first=None) -> Iterator[tuple]:
         """Stream every antichain exactly once, elements in node order.

@@ -48,17 +48,20 @@ class RankedRule:
     evaluation: RuleEvaluation
 
 
-def _classical_name(rule: DecisionRule) -> str | None:
-    names = [kind for kind in ("pb", "cb", "hb")
-             if rule.positives == classical_rule(kind, rule.n).positives]
+def _classical_positives(n: int) -> dict:
+    return {kind: classical_rule(kind, n).positives for kind in ("pb", "cb", "hb")}
+
+
+def _classical_name(rule: DecisionRule, classical: dict) -> str | None:
+    names = [kind for kind, pos in classical.items() if rule.positives == pos]
     return ",".join(names) if names else None
 
 
 def evaluate_rule(rule: DecisionRule, w, profile) -> RankedRule:
     """Loss evaluation plus detection of the textbook rules."""
     profile = as_profile(profile)
-    return RankedRule(None, rule.antichain, _classical_name(rule), rule,
-                      loss(rule, w, profile))
+    name = _classical_name(rule, _classical_positives(rule.n))
+    return RankedRule(None, rule.antichain, name, rule, loss(rule, w, profile))
 
 
 def rank_rules(request: RankingRequest) -> list[RankedRule]:
@@ -114,13 +117,14 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
         candidates.append((score, fp, bitset, ac))
     candidates.sort(key=lambda c: c[:3])
 
+    classical = _classical_positives(n)
     ranked = []
     for rank, (_, _, _, ac) in enumerate(candidates[:request.k], start=1):
         if request.mode == "extended":
             rule = DecisionRule.from_antichain(n, ac)
         else:
             rule = DecisionRule.from_classes(n, po.upper_set(ac))
-        ranked.append(RankedRule(rank, ac, _classical_name(rule), rule,
+        ranked.append(RankedRule(rank, ac, _classical_name(rule, classical), rule,
                                  loss(rule, w, profile)))
     return ranked
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .poset import build_poset
-from .tables import (VoteTable, canonical, class_members, node_sort_key,
-                     table_class, validate_n)
+from .tables import canonical, class_members, table_class, validate_n
 
 
 @dataclass(frozen=True)
@@ -35,12 +34,10 @@ class DecisionRule:
             if T.n != n:
                 raise InvalidParameterError(f"table {tuple(T)} has size {T.n}, not {n}")
         po = build_poset(n, "extended")
-        minimal = tuple(sorted(
-            (T for T in pos
-             if not any(S != T and po.leq(S, T) for S in pos)),
-            key=node_sort_key))
-        admissible = po.upper_set(minimal) == pos
-        return cls(n, pos, minimal, admissible)
+        idxs = sorted(po.index[T] for T in pos)
+        above = po.strictly_above(idxs)
+        minimal = tuple(po.nodes[i] for i in idxs if i not in above)
+        return cls(n, pos, minimal, above.issubset(idxs))
 
     @classmethod
     def from_antichain(cls, n: int, antichain) -> "DecisionRule":

@@ -26,6 +26,20 @@ def test_exit_codes(capsys):
     assert "error:" in err
 
 
+def test_bad_arguments_exit_2_before_any_output(capsys):
+    assert run(["optimal", "--n", "3", "--w", "0.5", "--theta", "0.6",
+                "--precision", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+    assert run(["region", "--n", "3", "--grid", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_decide_beyond_the_float_range(capsys):
+    out = run_ok(capsys, "decide", "--n", "99", "--w", "0.5", "--theta", "0.9999",
+                 "--table", "0,99,0,0")
+    assert out.rstrip().endswith("-> ¬C")
+
+
 def test_optimal_text(capsys):
     out = run_ok(capsys, "optimal", "--n", "3", "--w", "0.5", "--theta", "0.6")
     assert "classes: (3,0) (2,1) (1,2) (1,0)" in out

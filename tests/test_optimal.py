@@ -1,8 +1,12 @@
+import math
+
 import pytest
 
 import oracles
 from dilemma import (
+    DecisionRule,
     InvalidParameterError,
+    StructuralError,
     TableClass,
     TableType,
     classical_rule,
@@ -216,6 +220,25 @@ def test_optimal_rule_validation():
         optimal_rule(3, 1.0, 0.7)
 
 
+def test_optimal_rule_rejects_an_inadmissible_rule(monkeypatch):
+    bad = DecisionRule.from_tables(3, [(1, 1, 1, 0)])
+    monkeypatch.setattr(DecisionRule, "from_classes",
+                        classmethod(lambda cls, n, classes: bad))
+    with pytest.raises(StructuralError, match="upper set"):
+        optimal_rule(3, 0.5, 0.6)
+
+
+def test_goodness_beyond_the_float_range():
+    # eta = 9999 and |exponent| = 99 overflow a float
+    assert g_eval((0, 99), 9999.0) == math.inf
+    assert not is_good((0, 99), 0.5, 0.9999)
+    assert goodness_intervals((0, 99), 0.5).intervals == ()
+    rule = optimal_rule(99, 0.5, 0.9999)
+    assert rule.admissible
+    assert pb_optimal(99, 0.5, 0.9999)
+    assert rule.positives == classical_rule("pb", 99).positives
+
+
 def test_pb_is_the_union_of_high_margin_classes():
     for n in (3, 5, 7):
         pb = classical_rule("pb", n)
@@ -271,4 +294,4 @@ def test_pb_region_shape():
         if sufficient:
             assert exact
     with pytest.raises(InvalidParameterError):
-        list(pb_region(3, 0))
+        pb_region(3, 0)

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 import oracles
@@ -111,7 +114,6 @@ def test_leq_matches_cover_closure():
 
 def test_leq_without_bitmask_acceleration():
     po = build_poset(11, "quotient")
-    assert po._masks is None
     up = oracles.closure_from_covers([tuple(v) for v in po.nodes], as_pairs(po.covers))
     for a in po.nodes:
         for b in po.nodes:
@@ -186,6 +188,38 @@ def test_upper_set_and_minimal_elements_are_inverse():
         for chain in po.antichains():
             up = po.upper_set(chain)
             assert po.minimal_elements(up) == chain
+
+
+COVER_LOCAL_CASES = [(n, mode) for n in (1, 3, 5) for mode in MODES] + [
+    (n, mode) for n in (11, 13) for mode in ("extended", "quotient")]
+
+
+@pytest.mark.parametrize("n,mode", COVER_LOCAL_CASES)
+def test_upper_set_and_minimal_elements_match_cover_closure(n, mode):
+    po = build_poset(n, mode)
+    up = oracles.closure_from_covers([tuple(v) for v in po.nodes], as_pairs(po.covers))
+    rng = random.Random(f"{mode}:{n}")
+    for _ in range(40):
+        sub = [tuple(v) for v in rng.sample(po.nodes, rng.randint(0, min(6, len(po.nodes))))]
+        closure = set().union(*(up[v] for v in sub))
+        minimal = sorted((v for v in sub if not any(u != v and v in up[u] for u in sub)),
+                         key=po.index.get)
+        assert {tuple(v) for v in po.upper_set(minimal)} == closure
+        assert [tuple(v) for v in po.minimal_elements(closure)] == minimal
+        pairs = [(a, b) for i, a in enumerate(sub) for b in sub[i + 1:]
+                 if b in up[a] or a in up[b]]
+        if pairs:
+            a, b = (po.nodes[po.index[v]] for v in pairs[0])
+            with pytest.raises(StructuralError, match=re.escape(f"{a!r} and {b!r} are comparable")):
+                po.upper_set(sub)
+        else:
+            assert {tuple(v) for v in po.upper_set(sub)} == closure
+        if set(sub) != closure:
+            with pytest.raises(StructuralError, match="not an upper set"):
+                po.minimal_elements(sub)
+        if sub:
+            with pytest.raises(StructuralError, match="repeated"):
+                po.upper_set(minimal + minimal[:1])
 
 
 def test_antichain_counts_match_brute_force_labelings():

@@ -117,6 +117,19 @@ def test_classical_names():
     assert evaluate_rule(empty_rule(3), 0.5, 0.6).rank is None
 
 
+def test_rank_rules_builds_each_classical_rule_once(monkeypatch):
+    kinds = []
+
+    def counting(kind, n):
+        kinds.append(kind)
+        return classical_rule(kind, n)
+
+    monkeypatch.setattr("dilemma.ranking.classical_rule", counting)
+    ranked = rank_rules(RankingRequest(3, 0.5, 0.7, mode="extended", k=5))
+    assert sorted(kinds) == ["cb", "hb", "pb"]
+    assert ranked[0].name == "pb"
+
+
 def test_enumeration_bounds():
     assert ENUMERATION_BOUND == {"extended": 5, "compact": 9}
     with pytest.raises(InvalidParameterError, match="force"):

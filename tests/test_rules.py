@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -11,6 +13,11 @@ from dilemma import (
     classical_rule,
     empty_rule,
 )
+
+
+def as_pairs(covers):
+    return {(tuple(a), tuple(b)) for a, b in covers}
+
 
 PB3_POSITIVES = {(3, 0, 0, 0), (2, 1, 0, 0), (2, 0, 0, 1), (1, 1, 1, 0)}
 
@@ -118,6 +125,27 @@ def test_admissible_iff_upper_set():
             rule = DecisionRule.from_tables(3, combo)
             assert rule.admissible == (
                 frozenset(tuple(T) for T in rule.positives) in uppers)
+
+
+@pytest.mark.parametrize("n", (1, 3, 5, 11, 13))
+def test_from_tables_matches_cover_closure(n):
+    po = build_poset(n, "extended")
+    up = oracles.closure_from_covers([tuple(v) for v in po.nodes], as_pairs(po.covers))
+    rng = random.Random(n)
+    for _ in range(40):
+        sub = {tuple(v) for v in rng.sample(po.nodes, rng.randint(0, min(40, len(po.nodes))))}
+        closure = set().union(*(up[T] for T in sub))
+        # a set and its upward closure share their minimal elements
+        minimal = sorted((T for T in sub if not any(S != T and T in up[S] for S in sub)),
+                         key=po.index.get)
+        for pos in (sub, closure):
+            # half the tables handed over with y and z swapped
+            given = [(x, z, y, t) if rng.random() < 0.5 else (x, y, z, t)
+                     for x, y, z, t in pos]
+            rule = DecisionRule.from_tables(n, given)
+            assert [tuple(T) for T in rule.antichain] == minimal
+            assert rule.admissible == all(up[T] <= pos for T in pos)
+            assert {tuple(T) for T in rule.positives} == pos
 
 
 def test_decides_is_transpose_invariant():
