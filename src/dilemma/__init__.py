@@ -19,10 +19,10 @@ from .optimal import (TANGENCY_BAND, GoodnessProfile, TableType,
                       pb_optimal_sufficient, pb_region)
 from .poset import (Poset, build_poset, enumerate_antichains,
                     max_antichain_size, minimal_elements, to_dot, upper_set)
-from .probability import (Homogeneous, NegativePrior, PerVoter, Profile,
-                          RuleEvaluation, State, as_profile, loss,
-                          negative_mass, positive_mass, rule_fn, rule_fp,
-                          rule_fp_bayes, single_vote_law, table_law,
+from .probability import (Homogeneous, NegativePrior, NodeLaw, PerVoter,
+                          Profile, RuleEvaluation, State, as_profile, loss,
+                          negative_mass, node_law, positive_mass, rule_fn,
+                          rule_fp, rule_fp_bayes, single_vote_law, table_law,
                           table_prob)
 from .ranking import (RankedRule, RankingRequest, evaluate_rule, rank_rules,
                       ranking_record)
@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLOCK_TRIALS", "DecisionRule", "GoodnessProfile", "Homogeneous",
-    "InvalidParameterError", "MAX_N", "NegativePrior", "PerVoter", "Poset",
-    "Profile", "RNG_ALGORITHM", "RankedRule", "RankingRequest",
+    "InvalidParameterError", "MAX_N", "NegativePrior", "NodeLaw", "PerVoter",
+    "Poset", "Profile", "RNG_ALGORITHM", "RankedRule", "RankingRequest",
     "RuleEvaluation", "SimulationResult", "SimulationSpec", "State",
     "StructuralError", "TANGENCY_BAND", "TableClass", "TableType",
     "VoteTable", "as_profile", "build_poset", "canonical", "class_count",
@@ -45,9 +45,9 @@ __all__ = [
     "enumerate_antichains", "enumerate_classes", "enumerate_tables",
     "eta_star", "evaluate_rule", "g_eval", "goodness_intervals", "is_good",
     "loss", "max_antichain_size", "minimal_elements", "multinomial",
-    "negative_mass", "optimal_rule", "ordered_tables", "pb_optimal",
-    "pb_optimal_sufficient", "pb_region", "positive_mass", "rank_rules",
-    "ranking_record", "rule_fn", "rule_fp", "rule_fp_bayes", "simulate",
-    "single_vote_law", "table_class", "table_count", "table_law",
+    "negative_mass", "node_law", "optimal_rule", "ordered_tables",
+    "pb_optimal", "pb_optimal_sufficient", "pb_region", "positive_mass",
+    "rank_rules", "ranking_record", "rule_fn", "rule_fp", "rule_fp_bayes",
+    "simulate", "single_vote_law", "table_class", "table_count", "table_law",
     "table_prob", "to_dot", "transpose", "upper_set", "whitney_numbers",
 ]

@@ -32,7 +32,8 @@ from enum import Enum
 
 from .errors import InvalidParameterError, StructuralError
 from .rules import DecisionRule
-from .tables import TableClass, enumerate_classes, table_class, validate_class, validate_n
+from .tables import (TableClass, enumerate_classes, table_class, validate_class,
+                     validate_n, validate_theta, validate_w)
 
 # |G(eta_star) - xi| below this band is reported as a degenerate
 # tangency instead of guessing zero or two crossings
@@ -83,21 +84,6 @@ def eta_star(cls_or_table) -> float:
     return ((c.alpha + c.rho) / (c.alpha - c.rho)) ** (1.0 / (2 * c.alpha))
 
 
-def _check_w(w) -> float:
-    w = float(w)
-    if not 0.0 < w < 1.0:
-        raise InvalidParameterError(f"loss weight w must lie in (0, 1), got {w}")
-    return w
-
-
-def _check_theta(theta) -> float:
-    theta = float(theta)
-    if not 0.5 < theta < 1.0:
-        raise InvalidParameterError(
-            f"competence must lie in (1/2, 1) here, got {theta}")
-    return theta
-
-
 def _xi(w: float) -> float:
     return 2.0 * (1.0 - w) / w
 
@@ -105,8 +91,8 @@ def _xi(w: float) -> float:
 def is_good(cls_or_table, w, theta) -> bool:
     """Strict goodness test; boundary equality counts as bad."""
     c = _as_class(cls_or_table)
-    w = _check_w(w)
-    theta = _check_theta(theta)
+    w = validate_w(w)
+    theta = validate_theta(theta, goodness=True)
     eta = theta / (1.0 - theta)
     return g_eval(c, eta) < _xi(w)
 
@@ -155,7 +141,7 @@ def goodness_intervals(cls_or_table, w, tol: float = 1e-12) -> GoodnessProfile:
     """
     c = _as_class(cls_or_table)
     kind = classify(c)
-    w = _check_w(w)
+    w = validate_w(w)
     rho, alpha = c
     xi = _xi(w)
 
@@ -200,8 +186,8 @@ def goodness_intervals(cls_or_table, w, tol: float = 1e-12) -> GoodnessProfile:
 def optimal_rule(n: int, w, theta) -> DecisionRule:
     """Loss-minimizing admissible rule for a homogeneous committee."""
     validate_n(n)
-    w = _check_w(w)
-    theta = _check_theta(theta)
+    w = validate_w(w)
+    theta = validate_theta(theta, goodness=True)
     good = [c for c in enumerate_classes(n) if is_good(c, w, theta)]
     rule = DecisionRule.from_classes(n, good)
     if not rule.admissible:
@@ -212,16 +198,16 @@ def optimal_rule(n: int, w, theta) -> DecisionRule:
 def pb_optimal(n: int, w, theta) -> bool:
     """Exact test: the premiss-wise majority rule minimizes the loss."""
     validate_n(n)
-    w = _check_w(w)
-    theta = _check_theta(theta)
+    w = validate_w(w)
+    theta = validate_theta(theta, goodness=True)
     eta = theta / (1.0 - theta)
     return theta >= w and eta + eta ** (-n) >= _xi(w)
 
 
 def pb_optimal_sufficient(w, theta) -> bool:
     """Size-free sufficient condition for premiss-wise optimality."""
-    w = _check_w(w)
-    theta = _check_theta(theta)
+    w = validate_w(w)
+    theta = validate_theta(theta, goodness=True)
     return theta >= w and theta >= (2.0 - 2.0 * w) / (2.0 - w)
 
 

@@ -211,12 +211,17 @@ def _reduced_covers(n, classes):
     return cov
 
 
-@lru_cache(maxsize=None)
 def build_poset(n: int, mode: str = "extended") -> Poset:
     """Construct (and cache) the poset for committee size n."""
     validate_n(n)
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    # one cache entry per (n, mode), however the arguments were passed
+    return _build_poset(n, mode)
+
+
+@lru_cache(maxsize=None)
+def _build_poset(n: int, mode: str) -> Poset:
     if mode == "extended":
         nodes = enumerate_tables(n)
         index = {v: i for i, v in enumerate(nodes)}
@@ -229,6 +234,11 @@ def build_poset(n: int, mode: str = "extended") -> Poset:
             else _reduced_covers(n, nodes)
         covers = sorted(set(raw), key=lambda e: (index[e[0]], index[e[1]]))
     return Poset(n, mode, nodes, covers)
+
+
+# the cache stays inspectable from the public name
+build_poset.cache_info = _build_poset.cache_info
+build_poset.cache_clear = _build_poset.cache_clear
 
 
 def enumerate_antichains(poset: Poset, first=None) -> Iterator[tuple]:

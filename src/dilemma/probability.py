@@ -4,16 +4,24 @@ Voters judge each premiss independently and are right about each with
 probability theta (their competence).  Conditional on which premisses
 actually hold (PQ, PnQ, nPQ, nPnQ), a ballot lands in one of the four
 table slots with a product law, and the committee table is the sum of
-n independent ballots.  For a homogeneous committee the table law has
-a closed form: the multinomial count times theta**a * (1-theta)**b
-with exponents read off the table; per-voter competences are handled
-by convolving the single ballot laws.
+n independent ballots.
+
+Every loss computation reads one per-node law (``node_law``): for each
+canonical table T, in node order, P(T) and P(T transposed), whose sum
+is the mass a symmetric rule puts on the node.  For a homogeneous
+committee each entry is the multinomial count times theta**a *
+(1-theta)**b, with the counts computed once per n as exact integers
+converted late; per-voter competences are convolved ballot by ballot
+over a numpy (x, y, z) cube.  Laws live in a bounded LRU cache
+(LAW_CACHE_SIZE entries), so a theta sweep or a long stream of
+committees keeps memory flat.  ``table_law`` is an ordered-table dict
+view of the same numbers for tests and oracles.
 
 False positives weigh the positive tables under PnQ (by symmetry nPQ
 gives the same number for any rule considered here); false negatives
-weigh the negative tables under PQ.  Everything is double precision
-with exact integer multinomials converted late; sums run in canonical
-node order through math.fsum, so repeated calls give identical bytes.
+weigh the negative tables under PQ.  Everything is double precision;
+masses are summed with math.fsum, which is correctly rounded, so
+repeated calls give identical bytes.
 """
 
 from __future__ import annotations
@@ -21,11 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
+from .poset import build_poset
 from .rules import DecisionRule
-from .tables import (VoteTable, enumerate_tables, multinomial, node_sort_key,
-                     ordered_tables, validate_table)
+from .tables import (enumerate_tables, ordered_tables, validate_n, validate_table,
+                     validate_theta, validate_w)
 
 
 class State(Enum):
@@ -48,20 +59,13 @@ def as_state(value) -> State:
             f"state must be one of {[s.value for s in State]}, got {value!r}") from None
 
 
-def _check_theta(th) -> float:
-    th = float(th)
-    if not 0.0 < th < 1.0:
-        raise InvalidParameterError(f"competence must lie in (0, 1), got {th}")
-    return th
-
-
 @dataclass(frozen=True)
 class Homogeneous:
     """Every voter has the same competence."""
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _check_theta(self.theta))
+        object.__setattr__(self, "theta", validate_theta(self.theta))
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class PerVoter:
 
     def __post_init__(self):
         object.__setattr__(self, "thetas",
-                           tuple(_check_theta(t) for t in self.thetas))
+                           tuple(validate_theta(t) for t in self.thetas))
         if not self.thetas:
             raise InvalidParameterError("per-voter profile needs at least one theta")
 
@@ -137,7 +141,7 @@ class RuleEvaluation:
 def single_vote_law(state, theta) -> tuple:
     """One ballot's slot probabilities (both, P only, Q only, neither)."""
     state = as_state(state)
-    c = _check_theta(theta)
+    c = validate_theta(theta)
     i = 1.0 - c
     if state is State.PQ:
         return (c * c, c * i, i * c, i * i)
@@ -148,55 +152,128 @@ def single_vote_law(state, theta) -> tuple:
     return (i * i, i * c, c * i, c * c)
 
 
-def _exponents(T: VoteTable, state: State) -> tuple:
-    x, y, z, t = T
-    if state is State.PQ:
-        return (2 * x + y + z, y + z + 2 * t)
-    if state is State.PnQ:
-        return (x + 2 * y + t, x + 2 * z + t)
-    if state is State.nPQ:
-        return (x + 2 * z + t, x + 2 * y + t)
-    return (y + z + 2 * t, 2 * x + y + z)
+class NodeLaw(NamedTuple):
+    """One state's law over the canonical tables, in node order.
+
+    ``canon[i]`` is P(T) and ``trans[i]`` is P(T transposed), 0.0 when
+    y == z; ``mass[i] = canon[i] + trans[i]`` is the probability that a
+    symmetric rule sees node i.
+    """
+    canon: tuple
+    trans: tuple
+    mass: tuple
 
 
-def _per_voter_law(n, state, thetas):
-    dist = {(0, 0, 0, 0): 1.0}
-    for th in thetas:
-        step = single_vote_law(state, th)
-        new = {}
-        for (x, y, z, t), p in dist.items():
-            for slot, (nx, ny, nz, nt) in enumerate(
-                    ((x + 1, y, z, t), (x, y + 1, z, t),
-                     (x, y, z + 1, t), (x, y, z, t + 1))):
-                key = (nx, ny, nz, nt)
-                new[key] = new.get(key, 0.0) + p * step[slot]
-        dist = new
-    return {VoteTable(*key): p for key, p in dist.items()}
+class _Layout(NamedTuple):
+    mults: list      # float(multinomial(T)) per node
+    exponents: dict  # state -> (canon, trans) lists of theta exponents
+    distinct: list   # y != z per node
+    cells: list      # flat (x, y, z) cell of T, and of its transpose,
+    cells_t: list    # in the (n+1)**3 cube of the per-voter convolution
 
 
-# memo of full ordered-table laws keyed by (n, state, profile); entries
-# are immutable once written, so concurrent readers are fine
-_LAW_CACHE: dict = {}
+@lru_cache(maxsize=4)
+def _layout(n: int) -> _Layout:
+    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
+    side = n + 1
+    mults, e_pq, e_y, e_z, e_npnq, distinct, cells, cells_t = \
+        [], [], [], [], [], [], [], []
+    for x, y, z, t in enumerate_tables(n):
+        mults.append(float(comb[n][x] * comb[n - x][y] * comb[n - x - y][z]))
+        # exponent of theta in the product law; 1 - theta takes the
+        # rest of the 2n premiss judgments
+        e_pq.append(2 * x + y + z)
+        e_y.append(x + 2 * y + t)
+        e_z.append(x + 2 * z + t)
+        e_npnq.append(y + z + 2 * t)
+        distinct.append(y != z)
+        cells.append((x * side + y) * side + z)
+        cells_t.append((x * side + z) * side + y)
+    exponents = {State.PQ: (e_pq, e_pq), State.PnQ: (e_y, e_z),
+                 State.nPQ: (e_z, e_y), State.nPnQ: (e_npnq, e_npnq)}
+    return _Layout(mults, exponents, distinct, cells, cells_t)
+
+
+def _homogeneous_law(n: int, state: State, th: float):
+    lay = _layout(n)
+    e_canon, e_trans = lay.exponents[state]
+    # same operations, in the same order, as multinomial * th**a * (1-th)**b
+    pa = [th**k for k in range(2 * n + 1)]
+    pb = [(1.0 - th) ** (2 * n - k) for k in range(2 * n + 1)]
+    canon = [m * pa[a] * pb[a] for m, a in zip(lay.mults, e_canon)]
+    trans = [m * pa[a] * pb[a] if d else 0.0
+             for m, a, d in zip(lay.mults, e_trans, lay.distinct)]
+    return canon, trans
+
+
+def _per_voter_law(n: int, state: State, thetas: tuple):
+    """Convolve the ballot laws over an (x, y, z) cube, t implied.
+
+    Each cell adds its sources in the order t-1, z-1, y-1, x-1, the
+    order in which a voter-by-voter convolution over a dict of tables
+    (see tests/oracles.py) meets them, so the floats agree exactly.
+    """
+    import numpy as np
+
+    law = np.ones((1, 1, 1))
+    for k, th in enumerate(thetas, start=1):
+        a, b, c, d = single_vote_law(state, th)
+        new = np.zeros((k + 1, k + 1, k + 1))
+        new[:k, :k, :k] = d * law
+        new[:k, :k, 1:] += c * law
+        new[:k, 1:, :k] += b * law
+        new[1:, :k, :k] += a * law
+        law = new
+    lay = _layout(n)
+    flat = law.ravel()
+    trans = np.where(lay.distinct, flat[lay.cells_t], 0.0)
+    return flat[lay.cells].tolist(), trans.tolist()
+
+
+def _law_key(n: int, state, profile):
+    validate_n(n)
+    state = as_state(state)
+    profile = as_profile(profile)
+    profile_thetas(profile, n)  # length check
+    return state, _profile_key(profile)
+
+
+# bounded: a theta sweep or a stream of committees evicts old laws
+LAW_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=LAW_CACHE_SIZE)
+def _node_law(n: int, state: State, key) -> NodeLaw:
+    kind, value = key
+    make = _homogeneous_law if kind == "hom" else _per_voter_law
+    canon, trans = make(n, state, value)
+    return NodeLaw(tuple(canon), tuple(trans),
+                   tuple(c + t for c, t in zip(canon, trans)))
+
+
+def node_law(n: int, state, profile) -> NodeLaw:
+    """The per-node law every mass and loss computation sums over."""
+    return _node_law(n, *_law_key(n, state, profile))
+
+
+@lru_cache(maxsize=4)
+def _table_law(n: int, state: State, key) -> dict:
+    law = _node_law(n, state, key)
+    probs = {}
+    for T, c, t in zip(enumerate_tables(n), law.canon, law.trans):
+        probs[T] = c
+        if T.y != T.z:
+            probs[T.transpose()] = t
+    return {T: probs[T] for T in ordered_tables(n)}
 
 
 def table_law(n: int, state, profile) -> dict:
-    """Probability of every ordered table under one state, as a dict."""
-    state = as_state(state)
-    profile = as_profile(profile)
-    thetas = profile_thetas(profile, n)
-    key = (n, state, _profile_key(profile))
-    law = _LAW_CACHE.get(key)
-    if law is None:
-        if isinstance(profile, Homogeneous):
-            th = profile.theta
-            law = {}
-            for T in ordered_tables(n):
-                a, b = _exponents(T, state)
-                law[T] = multinomial(T) * th**a * (1.0 - th) ** b
-        else:
-            law = _per_voter_law(n, state, thetas)
-        _LAW_CACHE[key] = law
-    return law
+    """Probability of every ordered table under one state, as a dict.
+
+    A view of node_law for tests and oracles; the loss layer never
+    builds it.
+    """
+    return _table_law(n, *_law_key(n, state, profile))
 
 
 def table_prob(table, state, profile) -> float:
@@ -205,25 +282,21 @@ def table_prob(table, state, profile) -> float:
     return table_law(T.n, state, profile)[T]
 
 
-def _pair_mass(law, T: VoteTable) -> float:
-    # canonical table stands for itself and, when distinct, its transpose
-    p = law[T]
-    if T.y != T.z:
-        p += law[T.transpose()]
-    return p
+def _node_indices(rule: DecisionRule) -> set:
+    index = build_poset(rule.n, "extended").index
+    return {index[T] for T in rule.positives}
 
 
 def positive_mass(rule: DecisionRule, state, profile) -> float:
     """Probability that the rule answers yes under the given state."""
-    law = table_law(rule.n, state, profile)
-    pos = sorted(rule.positives, key=node_sort_key)
-    return math.fsum(_pair_mass(law, T) for T in pos)
+    mass = node_law(rule.n, state, profile).mass
+    return math.fsum(mass[i] for i in _node_indices(rule))
 
 
 def negative_mass(rule: DecisionRule, state, profile) -> float:
-    law = table_law(rule.n, state, profile)
-    return math.fsum(_pair_mass(law, T) for T in enumerate_tables(rule.n)
-                     if T not in rule.positives)
+    mass = node_law(rule.n, state, profile).mass
+    pos = _node_indices(rule)
+    return math.fsum(m for i, m in enumerate(mass) if i not in pos)
 
 
 def rule_fp(rule: DecisionRule, profile) -> float:
@@ -246,16 +319,9 @@ def rule_fp_bayes(rule: DecisionRule, profile, prior: NegativePrior) -> float:
     return 1.0 - tn
 
 
-def _check_w(w) -> float:
-    w = float(w)
-    if not 0.0 < w < 1.0:
-        raise InvalidParameterError(f"loss weight w must lie in (0, 1), got {w}")
-    return w
-
-
 def loss(rule: DecisionRule, w, profile) -> RuleEvaluation:
     """Expected loss w * P(FP) + (1 - w) * P(FN)."""
-    w = _check_w(w)
+    w = validate_w(w)
     p_fp = rule_fp(rule, profile)
     p_fn = rule_fn(rule, profile)
     return RuleEvaluation(w, p_fp, p_fn, w * p_fp + (1.0 - w) * p_fn)

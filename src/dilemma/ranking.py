@@ -20,9 +20,9 @@ from .errors import InvalidParameterError
 from .optimal import classical_rule
 from .poset import build_poset
 from .probability import (Homogeneous, PerVoter, RuleEvaluation, State,
-                          as_profile, loss, profile_thetas, table_law)
+                          as_profile, loss, node_law, profile_thetas)
 from .rules import DecisionRule
-from .tables import class_members, validate_n
+from .tables import class_members, validate_n, validate_w
 
 MODES = ("extended", "compact")
 ENUMERATION_BOUND = {"extended": 5, "compact": 9}
@@ -71,9 +71,7 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {request.mode!r}")
     if request.k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {request.k}")
-    w = float(request.w)
-    if not 0.0 < w < 1.0:
-        raise InvalidParameterError(f"loss weight w must lie in (0, 1), got {w}")
+    w = validate_w(request.w)
     bound = ENUMERATION_BOUND[request.mode]
     if n > bound and not request.force:
         raise InvalidParameterError(
@@ -83,22 +81,27 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
     profile_thetas(profile, n)  # length check up front
 
     po = build_poset(n, "extended" if request.mode == "extended" else "quotient")
-    law_fp = table_law(n, State.PnQ, profile)
-    law_fn = table_law(n, State.PQ, profile)
+    law_fp = node_law(n, State.PnQ, profile)
+    law_fn = node_law(n, State.PQ, profile)
 
-    def members(node):
-        return (node,) if request.mode == "extended" else class_members(node, n)
+    if request.mode == "extended":
+        fp_c, fn_c = law_fp.mass, law_fn.mass
+    else:
+        # class weights add each member's two tables in turn, in node order
+        index = build_poset(n, "extended").index
+        members = [[index[T] for T in class_members(c, n)] for c in po.nodes]
 
-    def mass(law, node):
-        total = 0.0
-        for T in members(node):
-            total += law[T]
-            if T.y != T.z:
-                total += law[T.transpose()]
-        return total
+        def class_mass(law):
+            out = []
+            for idxs in members:
+                total = 0.0
+                for j in idxs:
+                    total += law.canon[j]
+                    total += law.trans[j]
+                out.append(total)
+            return out
 
-    fp_c = [mass(law_fp, v) for v in po.nodes]
-    fn_c = [mass(law_fn, v) for v in po.nodes]
+        fp_c, fn_c = class_mass(law_fp), class_mass(law_fn)
     fn_total = sum(fn_c)
     N = len(po.nodes)
 

@@ -10,6 +10,9 @@ code works with the canonical representative having y >= z.
 Tables carry two coordinates that drive everything downstream: the
 margin rho = x - t and the imbalance alpha = |y - z|.  Tables sharing
 (rho, alpha) form a class; for odd n, rho + alpha is always odd.
+
+The validators of the scalar parameters (committee size n, loss
+weight w, competence theta) live here too, one per parameter.
 """
 
 from __future__ import annotations
@@ -60,6 +63,24 @@ def validate_n(n) -> int:
         raise InvalidParameterError(
             f"committee size must be odd and in 1..{MAX_N}, got {n}")
     return n
+
+
+def validate_w(w) -> float:
+    """Loss weight: the share w of the loss put on false positives."""
+    w = float(w)
+    if not 0.0 < w < 1.0:
+        raise InvalidParameterError(f"loss weight w must lie in (0, 1), got {w}")
+    return w
+
+
+def validate_theta(theta, *, goodness: bool = False) -> float:
+    """Competence: (0, 1) in the probability model, (1/2, 1) for the
+    goodness test, whose odds eta = theta / (1 - theta) must exceed 1."""
+    theta = float(theta)
+    low, domain = (0.5, "(1/2, 1) here") if goodness else (0.0, "(0, 1)")
+    if not low < theta < 1.0:
+        raise InvalidParameterError(f"competence must lie in {domain}, got {theta}")
+    return theta
 
 
 def validate_table(table) -> VoteTable:
@@ -131,14 +152,20 @@ def class_count(n: int) -> int:
 
 
 def enumerate_tables(n: int) -> list[VoteTable]:
-    """All canonical tables, sorted by descending (rho, x, y)."""
+    """All canonical tables, sorted by descending (rho, x, y).
+
+    Generated in that order: at margin rho a table with x voters for
+    both premisses has t = x - rho and y + z = n - x - t, and y runs
+    down to the canonical bound y >= z.
+    """
     validate_n(n)
     out = []
-    for x in range(n + 1):
-        for y in range(n + 1 - x):
-            for z in range(min(y, n - x - y) + 1):
-                out.append(VoteTable(x, y, z, n - x - y - z))
-    out.sort(key=node_sort_key)
+    for rho in range(n, -n - 1, -1):
+        for x in range((n + rho) // 2, max(rho, 0) - 1, -1):
+            t = x - rho
+            s = n - x - t
+            for y in range(s, (s - 1) // 2, -1):
+                out.append(VoteTable(x, y, s - y, t))
     return out
 
 

@@ -60,6 +60,29 @@ def table_prob(T, state, theta):
     return multinom(T) * theta**a * (1.0 - theta) ** b
 
 
+def vote_slots(state, theta):
+    """One ballot's law over the slots (both, P only, Q only, neither)."""
+    c, i = theta, 1.0 - theta
+    return {"PQ": (c * c, c * i, i * c, i * i),
+            "PnQ": (c * i, c * c, i * i, i * c),
+            "nPQ": (i * c, i * i, c * c, c * i),
+            "nPnQ": (i * i, i * c, c * i, c * c)}[state]
+
+
+def per_voter_law(state, thetas):
+    """Ordered-table law of a committee, convolved voter by voter over a dict."""
+    dist = {(0, 0, 0, 0): 1.0}
+    for th in thetas:
+        step = vote_slots(state, th)
+        new = {}
+        for (x, y, z, t), p in dist.items():
+            for slot, key in enumerate(((x + 1, y, z, t), (x, y + 1, z, t),
+                                        (x, y, z + 1, t), (x, y, z, t + 1))):
+                new[key] = new.get(key, 0.0) + p * step[slot]
+        dist = new
+    return dist
+
+
 def pb(T):
     x, y, z, t = T
     return x + y > z + t and x + z > y + t

@@ -5,7 +5,9 @@ import pytest
 import oracles
 from dilemma import (
     DecisionRule,
+    Homogeneous,
     InvalidParameterError,
+    RankingRequest,
     StructuralError,
     TableClass,
     TableType,
@@ -16,10 +18,13 @@ from dilemma import (
     g_eval,
     goodness_intervals,
     is_good,
+    loss,
     optimal_rule,
     pb_optimal,
     pb_optimal_sufficient,
     pb_region,
+    rank_rules,
+    single_vote_law,
     table_class,
 )
 
@@ -109,6 +114,29 @@ def test_is_good_validation():
         is_good((1, 0), 0.5, 0.4)
     with pytest.raises(InvalidParameterError):
         is_good((1, 0), 0.0, 0.7)
+
+
+def test_each_parameter_has_one_validator_and_one_message():
+    def message(call, *args):
+        with pytest.raises(InvalidParameterError) as exc:
+            call(*args)
+        return str(exc.value)
+
+    pb = classical_rule("pb", 3)
+    w_msg = "loss weight w must lie in (0, 1), got {}"
+    assert message(loss, pb, 1.5, 0.6) == w_msg.format(1.5)
+    assert message(is_good, (1, 0), 0.0, 0.7) == w_msg.format(0.0)
+    assert message(goodness_intervals, (1, 0), 1.0) == w_msg.format(1.0)
+    assert message(rank_rules, RankingRequest(3, -0.5, 0.6)) == w_msg.format(-0.5)
+    # the probability model takes (0, 1); the goodness test (1/2, 1)
+    model = "competence must lie in (0, 1), got {}"
+    assert message(Homogeneous, 1.3) == model.format(1.3)
+    assert message(single_vote_law, "PQ", 0.0) == model.format(0.0)
+    goodness = "competence must lie in (1/2, 1) here, got {}"
+    assert message(optimal_rule, 3, 0.5, 0.4) == goodness.format(0.4)
+    assert message(is_good, (1, 0), 0.5, 0.5) == goodness.format(0.5)
+    assert message(pb_optimal_sufficient, 0.5, 1.0) == goodness.format(1.0)
+    assert Homogeneous(0.4).theta == 0.4
 
 
 def test_goodness_intervals_type_a():

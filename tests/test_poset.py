@@ -287,6 +287,16 @@ def test_build_poset_validation_and_caching():
         build_poset(3, "no-such-mode")
 
 
+def test_build_poset_has_one_cache_entry_per_n_and_mode():
+    build_poset.cache_clear()
+    a = build_poset(41)
+    b = build_poset(41, "extended")
+    c = build_poset(41, mode="extended")
+    assert a is b is c
+    info = build_poset.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_to_dot():
     po = build_poset(3, "quotient")
     dot = to_dot(po)

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from dilemma import (
@@ -15,8 +16,10 @@ from dilemma import (
     as_profile,
     build_poset,
     classical_rule,
+    enumerate_tables,
     loss,
     negative_mass,
+    node_law,
     positive_mass,
     rule_fn,
     rule_fp,
@@ -25,6 +28,7 @@ from dilemma import (
     table_law,
     table_prob,
 )
+from dilemma import probability
 from dilemma.probability import NEGATIVE_STATES, as_state, profile_thetas
 
 STATES = ("PQ", "PnQ", "nPQ", "nPnQ")
@@ -235,3 +239,79 @@ def test_loss_bounds_property(th, w):
     assert 0.0 <= ev.p_fp <= 1.0
     assert 0.0 <= ev.p_fn <= 1.0
     assert 0.0 <= ev.loss <= 1.0
+
+
+def assert_node_law_is_the_table_law(law, tables, n):
+    """canon, trans and mass against an ordered-table law, bit for bit."""
+    for T, c, t, m in zip(enumerate_tables(n), law.canon, law.trans, law.mass):
+        tau = tuple(T.transpose())
+        assert c == tables[tuple(T)]
+        assert t == (tables[tau] if T.y != T.z else 0.0)
+        assert m == (tables[tuple(T)] + tables[tau] if T.y != T.z else tables[tuple(T)])
+
+
+odd_profiles = st.integers(0, 7).flatmap(
+    lambda k: st.lists(st.one_of(st.just(0.5), st.floats(0.01, 0.99)),
+                       min_size=2 * k + 1, max_size=2 * k + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(odd_profiles, st.sampled_from(STATES))
+@example([0.55 + 0.03 * i for i in range(15)], "PnQ")
+@example([0.9 - 0.05 * i for i in range(15)], "nPnQ")
+def test_per_voter_convolution_equals_the_dict_convolution_exactly(thetas, state):
+    n = len(thetas)
+    profile = PerVoter(tuple(thetas))
+    want = oracles.per_voter_law(state, thetas)
+    assert_node_law_is_the_table_law(node_law(n, state, profile), want, n)
+    got = table_law(n, state, profile)
+    assert {tuple(T): p for T, p in got.items()} == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10).map(lambda k: 2 * k + 1), st.sampled_from(STATES),
+       st.one_of(st.just(0.5), st.floats(0.01, 0.99)))
+def test_homogeneous_node_law_equals_the_closed_form_exactly(n, state, th):
+    want = {T: oracles.table_prob(T, state, th) for T in oracles.ordered_tables(n)}
+    assert_node_law_is_the_table_law(node_law(n, state, th), want, n)
+
+
+def test_masses_sum_the_node_law():
+    rules = all_admissible_rules(3) + [classical_rule(k, 7) for k in ("pb", "cb", "hb")]
+    for rule in rules:
+        for profile in (0.7, PerVoter((0.55, 0.6, 0.9, 0.7, 0.65, 0.8, 0.75)[:rule.n])):
+            for state in STATES:
+                mass = node_law(rule.n, state, profile).mass
+                pos = {i for i, T in enumerate(enumerate_tables(rule.n))
+                       if T in rule.positives}
+                assert positive_mass(rule, state, profile) == math.fsum(
+                    mass[i] for i in pos)
+                assert negative_mass(rule, state, profile) == math.fsum(
+                    m for i, m in enumerate(mass) if i not in pos)
+
+
+def test_node_law_validation():
+    with pytest.raises(InvalidParameterError):
+        node_law(4, "PQ", 0.6)
+    with pytest.raises(InvalidParameterError):
+        node_law(3, "PQ", PerVoter((0.6, 0.7)))
+    with pytest.raises(InvalidParameterError):
+        node_law(3, "QP", 0.6)
+
+
+def test_theta_sweep_keeps_the_law_cache_bounded():
+    cache = probability._node_law
+    assert cache.cache_info().maxsize == probability.LAW_CACHE_SIZE
+    rule = classical_rule("pb", 3)
+    loss(rule, 0.5, 0.6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(10_000):
+            loss(rule, 0.5, 0.5 + (i + 0.5) / 20_000)
+            assert cache.cache_info().currsize <= probability.LAW_CACHE_SIZE
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # an unbounded cache holds 20,000 laws here, about 57 MB
+    assert peak < 2_000_000

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
@@ -17,7 +20,29 @@ from dilemma import (
     rank_rules,
     ranking_record,
 )
+from dilemma.cli import run
 from dilemma.ranking import ENUMERATION_BOUND
+
+# SHA-256 prefixes of `dilemma rank --format json` then `--format text
+# --precision 17` stdout, recorded before the rankings read the per-node
+# law: exact ties (theta = 1/2 or w = 1/2, equal per-voter competences)
+# are ordered by how the class weights were summed, so any change in
+# that summation shows up here
+RANK_TIE_DIGESTS = {
+    (3, "0.5", "0.5", "both", 40): "060ca93242b12283",
+    (3, "0.5", "0.6,0.6,0.7", "compact", 16): "6aff190378b7f16d",
+    (5, "0.5", "0.5", "both", 12): "1793d87941d071d8",
+    (5, "0.5", "0.5,0.5,0.5,0.5,0.5", "both", 12): "f2e4bfaa78300f45",
+    (5, "0.5", "0.7,0.7,0.7,0.7,0.7", "both", 12): "a2264ee01a2145e9",
+    (5, "0.3", "0.6,0.6,0.6,0.6,0.6", "extended", 12): "ef8f794429e18d0c",
+    (5, "0.5", "0.6,0.6,0.6,0.6,0.6", "compact", 64): "9e436a3229ae9c0e",
+    (7, "0.5", "0.5", "compact", 40): "7aef6ce1bd3f7ee7",
+    (7, "0.5", "0.6", "compact", 60): "7437c1365a3941f2",
+    (7, "0.5", "0.6,0.6,0.6,0.6,0.6,0.6,0.6", "compact", 40): "3694307d8b967473",
+    (9, "0.5", "0.5", "compact", 40): "e99e02dc93e4591b",
+    (9, "0.5", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "compact", 40): "0940ca6aeac72ea6",
+    (9, "0.5", "0.6,0.6,0.6,0.6,0.6,0.6,0.6,0.6,0.6", "compact", 40): "53c5a1090012008f",
+}
 
 
 def test_rank_one_matches_optimal_rule():
@@ -174,3 +199,17 @@ def test_ranking_record_schema():
     assert crec["thetas"] == [0.6, 0.7, 0.8]
     assert all(len(v) == 2 for entry in crec["rules"]
                for v in entry["antichain"])
+
+
+@pytest.mark.parametrize("case", sorted(RANK_TIE_DIGESTS))
+def test_rank_output_is_byte_identical_on_ties(case):
+    n, w, theta, mode, k = case
+    digest = hashlib.sha256()
+    for fmt in ("json", "text"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["rank", "--n", str(n), "--w", w, "--theta", theta,
+                        "--mode", mode, "--k", str(k), "--format", fmt,
+                        "--precision", "17"]) == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest()[:16] == RANK_TIE_DIGESTS[case]
