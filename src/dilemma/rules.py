@@ -13,10 +13,11 @@ minimal positive tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidParameterError
 from .poset import build_poset
-from .tables import canonical, class_members, table_class, validate_n
+from .tables import TableClass, canonical, class_members, validate_n
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,12 @@ class DecisionRule:
 
     def positive_classes(self) -> tuple:
         """Classes touched by the positive set, descending (rho, alpha)."""
-        return tuple(sorted({table_class(T) for T in self.positives},
+        return self._classes
+
+    @cached_property
+    def _classes(self) -> tuple:
+        # the stored tables are valid by construction: no revalidation
+        return tuple(sorted({TableClass(T.rho, T.alpha) for T in self.positives},
                             key=lambda c: (-c.rho, -c.alpha)))
 
     def is_class_constant(self) -> bool:

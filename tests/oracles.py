@@ -214,3 +214,33 @@ def all_upper_sets(nodes, covers):
         if all(up[v] <= chosen for v in chosen):
             out.append(frozenset(chosen))
     return out
+
+
+def block_tally(n, state, thetas, trials, seed, block_trials=1 << 16):
+    """The table-key tally (x * (n+1) + y) * (n+1) + z of a seeded run,
+    drawing each block's two (m, n) arrays whole, as the simulator did
+    before it read its draws in chunks."""
+    import numpy as np
+
+    thetas = np.asarray(thetas, dtype=float)
+    p_true = state in ("PQ", "PnQ")
+    q_true = state in ("PQ", "nPQ")
+
+    nblocks = (trials + block_trials - 1) // block_trials
+    children = np.random.SeedSequence(seed).spawn(nblocks)
+    base = n + 1
+    tally = np.zeros(base**3, dtype=np.int64)
+    remaining = trials
+    for child in children:
+        m = min(block_trials, remaining)
+        remaining -= m
+        rng = np.random.Generator(np.random.PCG64(child))
+        correct_p = rng.random((m, n)) < thetas
+        correct_q = rng.random((m, n)) < thetas
+        vote_p = correct_p if p_true else ~correct_p
+        vote_q = correct_q if q_true else ~correct_q
+        x = (vote_p & vote_q).sum(axis=1)
+        y = (vote_p & ~vote_q).sum(axis=1)
+        z = (~vote_p & vote_q).sum(axis=1)
+        tally += np.bincount((x * base + y) * base + z, minlength=base**3)
+    return tally

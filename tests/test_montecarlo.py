@@ -1,7 +1,18 @@
+import contextlib
+import hashlib
+import io
 import math
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
+import oracles
 import pytest
 
+import dilemma
 from dilemma import (
     BLOCK_TRIALS,
     InvalidParameterError,
@@ -13,6 +24,20 @@ from dilemma import (
     simulate,
     table_law,
 )
+from dilemma import montecarlo
+from dilemma.cli import run
+
+STATES = ("PQ", "PnQ", "nPQ", "nPnQ")
+ORACLE_TRIALS = (1, 4095, 4096, 4097, 65535, 65536, 65537, 2 * 65536 + 5)
+
+
+def tally_of(res):
+    """The simulator's counts as the oracle's key-indexed tally."""
+    base = res.spec.n + 1
+    tally = np.zeros(base**3, dtype=np.int64)
+    for T, c in res.counts.items():
+        tally[(T.x * base + T.y) * base + T.z] = c
+    return tally
 
 
 def test_spec_validation():
@@ -104,3 +129,96 @@ def test_results_without_rule_have_no_positive_block():
     res = simulate(SimulationSpec(3, "PQ", 0.6, 1000, 3))
     assert res.positives is None and res.positive_rate is None
     assert "positive" not in res.to_json()
+
+
+@pytest.mark.parametrize("n", (1, 3, 31, 99))
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("level", (0.01, 0.99))
+def test_chunked_tally_equals_the_whole_block_oracle(n, state, level):
+    # per-voter competences near 0.01 or 0.99 push the keys to both ends
+    # of the base**3 range; n = 99 catches a uint8 count times base wrapping
+    rng = random.Random(f"{n}:{state}:{level}")
+    thetas = tuple(level + rng.uniform(-0.005, 0.005) for _ in range(n))
+    for seed, trials in enumerate(ORACLE_TRIALS):
+        res = simulate(SimulationSpec(n, state, thetas, trials, seed))
+        want = oracles.block_tally(n, state, thetas, trials, seed)
+        assert np.array_equal(tally_of(res), want), (n, state, level, trials)
+
+
+def test_thread_count_and_chunk_size_do_not_change_the_result(monkeypatch):
+    pb = classical_rule("pb", 9)
+    spec = SimulationSpec(9, "PnQ", PerVoter(tuple(0.55 + 0.04 * i for i in range(9))),
+                          5 * BLOCK_TRIALS + 3, 17, rule=pb)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    want = simulate(spec)
+    assert np.array_equal(tally_of(want), oracles.block_tally(
+        9, "PnQ", spec.profile.thetas, spec.trials, spec.seed))
+    # more threads than cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus, chunk in ((2, 4096), (3, 4096), (4, 1000), (1, 1000),
+                            (3, 2 * BLOCK_TRIALS)):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda c=cpus: c)
+            monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk)
+            res = simulate(spec)
+            assert res.counts == want.counts, (cpus, chunk)
+            assert list(res.counts) == list(want.counts)
+            assert res.positives == want.positives
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# SHA-256 of `dilemma simulate` stdout, recorded before the draws were
+# read in chunks on several threads
+PROFILE_31 = ",".join(f"{0.55 + 0.011 * i:.3f}" for i in range(31))
+SIMULATE_DIGESTS = (
+    ("--n 3 --theta 0.6 --state PnQ --trials 20000 --seed 5 --rule pb --format json",
+     "6e7441708497744087347fa0c22277045fce6a185192b75f5437ac6907a0a3f7"),
+    (f"--n 31 --theta {PROFILE_31} --state PnQ --trials 131077 --seed 7 --rule hb"
+     " --format json",
+     "8a4bb62c54e237ec2abe5617d5f8aec84222d07a477eecfac403c340fcf8a57c"),
+    ("--n 9 --theta 0.7 --state nPnQ --trials 65537 --seed 123 --format text",
+     "205123a7bb1a1abc9de57b91f41afb4f67a1ec1310d2d46d3d557bf2d9a8a9ff"),
+    ("--n 99 --theta 0.55 --state PQ --trials 4097 --seed 2 --rule cb --format json",
+     "f481298fd82f1f19f533a019ea54e4235b6a5fe13705a5d7809650242bfd4180"),
+    ("--n 1 --theta 0.01 --state nPQ --trials 70000 --seed 0 --format text"
+     " --precision 17",
+     "583453d40bec2ce4fdf010ef03534cb129bc38b42b255fe18deee297669e47b3"),
+    ("--n 5 --theta 0.99,0.01,0.5,0.987,0.013 --state PQ --trials 4095 --seed 99"
+     " --rule pb --format text",
+     "21933bc10f86d98a62be649e8b99b47d6dca2008d16467c6b257561815cfd06f"),
+    ("--n 7 --theta 0.8 --state PnQ --trials 4096 --seed 31 --rule optimal --w 0.3"
+     " --format text",
+     "4cd4312f4afdc7fcea9d0ed2ab71277b47953cfc363f51905d0b1cb4ed6c3c39"),
+)
+
+
+@pytest.mark.parametrize("args, digest", SIMULATE_DIGESTS)
+def test_simulate_stdout_is_byte_identical(args, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(["simulate", *args.split()]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_simulate_memory_stays_chunk_sized():
+    # drawing each 2^16-trial block whole peaks at about 27 MB here
+    spec = SimulationSpec(31, "PnQ", 0.7, 2 * BLOCK_TRIALS, 4)
+    simulate(SimulationSpec(31, "PnQ", 0.7, 1, 4))  # imports out of the trace
+    tracemalloc.start()
+    try:
+        simulate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
+
+
+def test_importing_the_package_and_cli_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dilemma.__file__)))
+    code = ("import sys, dilemma, dilemma.cli; "
+            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
