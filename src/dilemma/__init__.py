@@ -17,8 +17,7 @@ from .optimal import (TANGENCY_BAND, GoodnessProfile, TableType,
                       classical_rule, classify, eta_star, g_eval,
                       goodness_intervals, is_good, optimal_rule, pb_optimal,
                       pb_optimal_sufficient, pb_region)
-from .poset import (Poset, build_poset, enumerate_antichains,
-                    max_antichain_size, minimal_elements, to_dot, upper_set)
+from .poset import Poset, build_poset, max_antichain_size, to_dot
 from .probability import (Homogeneous, NegativePrior, NodeLaw, PerVoter,
                           Profile, RuleEvaluation, State, as_profile, loss,
                           negative_mass, node_law, positive_mass, rule_fn,
@@ -42,12 +41,12 @@ __all__ = [
     "StructuralError", "TANGENCY_BAND", "TableClass", "TableType",
     "VoteTable", "as_profile", "build_poset", "canonical", "class_count",
     "class_members", "classical_rule", "classify", "empty_rule",
-    "enumerate_antichains", "enumerate_classes", "enumerate_tables",
-    "eta_star", "evaluate_rule", "g_eval", "goodness_intervals", "is_good",
-    "loss", "max_antichain_size", "minimal_elements", "multinomial",
-    "negative_mass", "node_law", "optimal_rule", "ordered_tables",
-    "pb_optimal", "pb_optimal_sufficient", "pb_region", "positive_mass",
-    "rank_rules", "ranking_record", "rule_fn", "rule_fp", "rule_fp_bayes",
-    "simulate", "single_vote_law", "table_class", "table_count", "table_law",
-    "table_prob", "to_dot", "transpose", "upper_set", "whitney_numbers",
+    "enumerate_classes", "enumerate_tables", "eta_star", "evaluate_rule",
+    "g_eval", "goodness_intervals", "is_good", "loss", "max_antichain_size",
+    "multinomial", "negative_mass", "node_law", "optimal_rule",
+    "ordered_tables", "pb_optimal", "pb_optimal_sufficient", "pb_region",
+    "positive_mass", "rank_rules", "ranking_record", "rule_fn", "rule_fp",
+    "rule_fp_bayes", "simulate", "single_vote_law", "table_class",
+    "table_count", "table_law", "table_prob", "to_dot", "transpose",
+    "whitney_numbers",
 ]

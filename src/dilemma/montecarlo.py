@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidParameterError
 from .probability import State, as_profile, as_state, profile_thetas
 from .rules import DecisionRule
-from .tables import VoteTable, validate_n
+from .tables import VoteTable, node_sort_key, validate_n
 
 BLOCK_TRIALS = 1 << 16
 RNG_ALGORITHM = "pcg64"
@@ -51,8 +51,10 @@ class SimulationSpec:
         profile_thetas(self.profile, self.n)
         if not isinstance(self.trials, int) or self.trials < 1:
             raise InvalidParameterError(f"trials must be a positive int, got {self.trials!r}")
-        if not isinstance(self.seed, int):
-            raise InvalidParameterError(f"seed must be an int, got {self.seed!r}")
+        # SeedSequence takes no negative entropy; remapping one would
+        # silently alias another seed's stream
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidParameterError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.rule is not None and self.rule.n != self.n:
             raise InvalidParameterError(
                 f"rule is for n = {self.rule.n}, spec says n = {self.n}")
@@ -87,7 +89,7 @@ class SimulationResult:
             "tables": [
                 {"table": list(T), "count": self.counts[T],
                  "frequency": self.frequencies[T], "stderr": self.stderrs[T]}
-                for T in sorted(self.counts, key=lambda T: (-T.rho, -T.x, -T.y))
+                for T in sorted(self.counts, key=node_sort_key)
             ],
         }
         if spec.rule is not None:

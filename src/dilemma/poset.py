@@ -2,13 +2,15 @@
 
 A table moves up the order when one voter shifts one ballot toward a
 premiss: either a "neither" voter accepts P or Q, or a one-premiss
-voter accepts the other premiss.  On canonical tables (x, y, z, t) the
-four covering moves are
+voter accepts the other premiss.  The four covering moves of a
+canonical table (x, y, z, t),
 
     (x, y, z+1, t-1)   (x, y+1, z, t-1)   (x+1, y-1, z, t)   (x+1, y, z-1, t)
 
-re-canonicalized and deduplicated.  The margin rho = x - t is a rank:
-every cover raises it by one.  Three poset modes exist:
+are fixed steps of 1, b, b*b - b and b*b - 1 on the cell (x*b + y)*b + z
+of the flat (x, y, z) cube, b = n + 1, where a table and its transpose
+name one node.  The margin rho = x - t is a rank: every cover raises it
+by one.  Three poset modes exist:
 
 * ``extended``: canonical tables under the shift order.
 * ``quotient``: classes (rho, alpha) with covers (rho+1, alpha+-1);
@@ -26,6 +28,7 @@ minimal when none of its lower covers is a member, and one upward
 search marks every node strictly above a set.  Each costs
 O(nodes + covers).
 
+A ``Poset`` stores index adjacency only and derives ``covers`` from it.
 Posets are immutable after construction and safe to share across
 threads; the comparability bitmap, built on first use by the antichain
 stream (which is bounded to small n), is an idempotent cache.
@@ -37,47 +40,32 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidParameterError, StructuralError
-from .tables import (TableClass, VoteTable, enumerate_classes, enumerate_tables,
-                     validate_n)
+from .tables import enumerate_classes, enumerate_tables, validate_n
 
 MODES = ("extended", "quotient", "optimality_reduced")
 
 
-def _canon(x, y, z, t) -> VoteTable:
-    return VoteTable(x, y, z, t) if y >= z else VoteTable(x, z, y, t)
-
-
-def _table_covers(T: VoteTable) -> set[VoteTable]:
-    x, y, z, t = T
-    succ = set()
-    if t:
-        succ.add(_canon(x, y, z + 1, t - 1))
-        succ.add(_canon(x, y + 1, z, t - 1))
-    if y:
-        succ.add(_canon(x + 1, y - 1, z, t))
-    if z:
-        succ.add(_canon(x + 1, y, z - 1, t))
-    return succ
-
-
 class Poset:
-    """Finite poset given by nodes in a fixed order plus its cover relation."""
+    """Nodes in a fixed order plus the ascending upper-cover indices of each."""
 
-    def __init__(self, n: int, mode: str, nodes, covers):
+    def __init__(self, n: int, mode: str, nodes, up):
         self.n = n
         self.mode = mode
         self.nodes = tuple(nodes)
-        self.covers = tuple(covers)
         self.index = {v: i for i, v in enumerate(self.nodes)}
-        up = [[] for _ in self.nodes]
+        self._up = tuple(map(tuple, up))
         down = [[] for _ in self.nodes]
-        for lo, hi in self.covers:
-            i, j = self.index[lo], self.index[hi]
-            up[i].append(j)
-            down[j].append(i)
-        self._up = tuple(tuple(sorted(js)) for js in up)
-        self._down = tuple(tuple(sorted(js)) for js in down)
+        for i, js in enumerate(self._up):
+            for j in js:
+                down[j].append(i)
+        self._down = tuple(map(tuple, down))
         self._comp = None
+
+    @property
+    def covers(self) -> tuple:
+        """Cover pairs (lower, upper), ordered by their index pairs."""
+        nodes = self.nodes
+        return tuple((nodes[i], nodes[j]) for i, js in enumerate(self._up) for j in js)
 
     def __len__(self):
         return len(self.nodes)
@@ -187,28 +175,36 @@ class Poset:
             yield from extend(head, comp[i], i + 1)
 
 
-def _quotient_covers(n, classes):
-    have = set(classes)
-    cov = []
-    for c in classes:
-        for na in (c.alpha + 1, c.alpha - 1):
-            target = TableClass(c.rho + 1, na)
-            if na >= 0 and target in have:
-                cov.append((c, target))
-    return cov
+def _extended_up(n, tables):
+    b = n + 1
+    bb = b * b
+    at = {}
+    up = []
+    for i, (x, y, z, t) in enumerate(tables):
+        c = (x * b + y) * b + z
+        at[c] = at[(x * b + z) * b + y] = i
+        # covers are earlier nodes, already in ``at``, and z->x, y->x, t->y,
+        # t->z rise in index; at y == z, y->x and t->z repeat z->x and t->y
+        js = [at[c + bb - 1]] if z else []
+        if y > z:
+            js.append(at[c + bb - b])
+        if t:
+            js.append(at[c + b])
+            if y > z:
+                js.append(at[c + 1])
+        up.append(js)
+    return up
 
 
-def _reduced_covers(n, classes):
-    have = set(classes)
-    cov = []
-    for c in classes:
-        if c.alpha >= 2:
-            cov.append((c, TableClass(c.rho, c.alpha - 2)))
-        target = TableClass(c.rho + 1, c.alpha + 1)
-        if target in have:
-            cov.append((c, target))
-    cov.append((TableClass(n - 1, 1), TableClass(n, 0)))
-    return cov
+def _class_up(n, mode, classes):
+    index = {c: i for i, c in enumerate(classes)}
+    up = []
+    for r, a in classes:
+        # the reduced order steps down to (rho, alpha-2) instead, except
+        # at (n-1, 1), the only class at rho = n-1, which sits below (n, 0)
+        second = (r + 1, a - 1) if mode == "quotient" or r == n - 1 else (r, a - 2)
+        up.append([index[d] for d in ((r + 1, a + 1), second) if d in index])
+    return up
 
 
 def build_poset(n: int, mode: str = "extended") -> Poset:
@@ -224,33 +220,14 @@ def build_poset(n: int, mode: str = "extended") -> Poset:
 def _build_poset(n: int, mode: str) -> Poset:
     if mode == "extended":
         nodes = enumerate_tables(n)
-        index = {v: i for i, v in enumerate(nodes)}
-        covers = [(T, S) for T in nodes
-                  for S in sorted(_table_covers(T), key=index.get)]
-    else:
-        nodes = enumerate_classes(n)
-        index = {v: i for i, v in enumerate(nodes)}
-        raw = _quotient_covers(n, nodes) if mode == "quotient" \
-            else _reduced_covers(n, nodes)
-        covers = sorted(set(raw), key=lambda e: (index[e[0]], index[e[1]]))
-    return Poset(n, mode, nodes, covers)
+        return Poset(n, mode, nodes, _extended_up(n, nodes))
+    nodes = enumerate_classes(n)
+    return Poset(n, mode, nodes, _class_up(n, mode, nodes))
 
 
 # the cache stays inspectable from the public name
 build_poset.cache_info = _build_poset.cache_info
 build_poset.cache_clear = _build_poset.cache_clear
-
-
-def enumerate_antichains(poset: Poset, first=None) -> Iterator[tuple]:
-    return poset.antichains(first)
-
-
-def upper_set(antichain, poset: Poset) -> frozenset:
-    return poset.upper_set(antichain)
-
-
-def minimal_elements(nodes, poset: Poset) -> tuple:
-    return poset.minimal_elements(nodes)
 
 
 def max_antichain_size(n: int, mode: str = "extended") -> int:

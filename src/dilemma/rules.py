@@ -17,7 +17,8 @@ from functools import cached_property
 
 from .errors import InvalidParameterError
 from .poset import build_poset
-from .tables import TableClass, canonical, class_members, validate_n
+from .tables import (TableClass, canonical, class_members, class_sort_key,
+                     validate_n)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class DecisionRule:
     def _classes(self) -> tuple:
         # the stored tables are valid by construction: no revalidation
         return tuple(sorted({TableClass(T.rho, T.alpha) for T in self.positives},
-                            key=lambda c: (-c.rho, -c.alpha)))
+                            key=class_sort_key))
 
     def is_class_constant(self) -> bool:
         """True when the verdict depends on the table only through its class."""

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -6,6 +7,10 @@ import pytest
 
 from dilemma import classical_rule, loss, optimal_rule, rule_fp
 from dilemma.cli import build_parser, run
+
+# SHA-256 of `dilemma optimal --n 99 --w 0.5 --theta 0.7 --format json`
+# stdout, recorded before the covers were read off the (x, y, z) cube
+OPTIMAL_99_DIGEST = "eb7a2c4d5bbbe019f646f8f8fccbba978715a5813e43b061bcd57daf5fbe5179"
 
 
 def run_ok(capsys, *argv):
@@ -32,6 +37,16 @@ def test_bad_arguments_exit_2_before_any_output(capsys):
     assert capsys.readouterr().out == ""
     assert run(["region", "--n", "3", "--grid", "0"]) == 2
     assert capsys.readouterr().out == ""
+    assert run(["simulate", "--n", "3", "--theta", "0.7", "--state", "PQ",
+                "--trials", "10", "--seed", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "seed must be an int >= 0" in out.err
+
+
+def test_optimal_n99_json_is_byte_identical(capsys):
+    out = run_ok(capsys, "optimal", "--n", "99", "--w", "0.5", "--theta", "0.7",
+                 "--format", "json")
+    assert hashlib.sha256(out.encode()).hexdigest() == OPTIMAL_99_DIGEST
 
 
 def test_decide_beyond_the_float_range(capsys):

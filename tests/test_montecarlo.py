@@ -53,6 +53,10 @@ def test_spec_validation():
         SimulationSpec(3, "PQ", 1.2, 100, 1)
     with pytest.raises(InvalidParameterError):
         SimulationSpec(3, "PQ", 0.6, 100, 1, rule=classical_rule("pb", 5))
+    for seed in (-1, -(2**70)):
+        with pytest.raises(InvalidParameterError, match="seed must be an int >= 0"):
+            SimulationSpec(3, "PQ", 0.6, 100, seed)
+    assert SimulationSpec(3, "PQ", 0.6, 100, 0).seed == 0
 
 
 def test_counts_sum_to_trials():

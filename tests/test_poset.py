@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -10,12 +11,9 @@ from dilemma import (
     TableClass,
     VoteTable,
     build_poset,
-    enumerate_antichains,
     max_antichain_size,
-    minimal_elements,
     table_count,
     to_dot,
-    upper_set,
 )
 from dilemma.poset import MODES
 
@@ -49,30 +47,44 @@ REDUCED_COVERS_N3 = {
 }
 
 
+# SHA-256 over to_dot for every mode and odd n <= 21, recorded before the
+# covers were read off the (x, y, z) cube
+HASSE_DIGEST = "c1eeecf432f930518231af18c2a941fdccbba377cde79083d3574e933687a96c"
+ODD_N_TO_41 = range(1, 42, 2)
+
+
 def as_pairs(covers):
     return {(tuple(a), tuple(b)) for a, b in covers}
 
 
+def assert_covers_match(po, want):
+    """covers equal the oracle pairs, as a set and in index-pair order, and
+    the lower covers are the ascending transpose of the upper covers."""
+    assert as_pairs(po.covers) == want
+    assert po.covers == tuple(sorted(want, key=lambda e: (po.index[e[0]], po.index[e[1]])))
+    down = [(j, i) for j, js in enumerate(po._down) for i in js]
+    assert down == sorted((j, i) for i, js in enumerate(po._up) for j in js)
+
+
 def test_extended_nodes_and_covers_match_brute_force():
-    for n in (1, 3, 5):
+    for n in ODD_N_TO_41:
         po = build_poset(n, "extended")
         assert len(po.nodes) == table_count(n)
-        assert as_pairs(po.covers) == oracles.extended_covers(n)
+        assert_covers_match(po, oracles.extended_covers(n))
 
 
 def test_quotient_covers_frozen():
     po = build_poset(3, "quotient")
     assert as_pairs(po.covers) == QUOTIENT_COVERS_N3
-    for n in (3, 5, 7):
-        assert as_pairs(build_poset(n, "quotient").covers) == oracles.quotient_covers(n)
+    for n in ODD_N_TO_41:
+        assert_covers_match(build_poset(n, "quotient"), oracles.quotient_covers(n))
 
 
 def test_reduced_covers_frozen():
     po = build_poset(3, "optimality_reduced")
     assert as_pairs(po.covers) == REDUCED_COVERS_N3
-    for n in (3, 5, 7):
-        got = as_pairs(build_poset(n, "optimality_reduced").covers)
-        assert got == oracles.reduced_covers(n)
+    for n in ODD_N_TO_41:
+        assert_covers_match(build_poset(n, "optimality_reduced"), oracles.reduced_covers(n))
 
 
 def test_covers_raise_rank_by_one_in_graded_modes():
@@ -156,9 +168,9 @@ def test_comparable():
 
 
 def test_upper_set_example():
-    got = upper_set([TableClass(1, 0)], build_poset(3, "quotient"))
+    got = build_poset(3, "quotient").upper_set([TableClass(1, 0)])
     assert {tuple(c) for c in got} == {(1, 0), (2, 1), (3, 0)}
-    got = upper_set([VoteTable(1, 1, 1, 0)], build_poset(3, "extended"))
+    got = build_poset(3, "extended").upper_set([VoteTable(1, 1, 1, 0)])
     assert {tuple(T) for T in got} == {
         (1, 1, 1, 0),
         (2, 1, 0, 0),
@@ -169,16 +181,16 @@ def test_upper_set_example():
 def test_upper_set_rejects_bad_input():
     quo = build_poset(3, "quotient")
     with pytest.raises(StructuralError):
-        upper_set([TableClass(1, 0), TableClass(3, 0)], quo)
+        quo.upper_set([TableClass(1, 0), TableClass(3, 0)])
     with pytest.raises(StructuralError):
-        upper_set([TableClass(1, 0), TableClass(1, 0)], quo)
+        quo.upper_set([TableClass(1, 0), TableClass(1, 0)])
     with pytest.raises(InvalidParameterError):
-        upper_set([TableClass(4, 1)], quo)
+        quo.upper_set([TableClass(4, 1)])
 
 
 def test_minimal_elements_rejects_non_upper_set():
     with pytest.raises(StructuralError):
-        minimal_elements([TableClass(1, 0)], build_poset(3, "quotient"))
+        build_poset(3, "quotient").minimal_elements([TableClass(1, 0)])
 
 
 def test_upper_set_and_minimal_elements_are_inverse():
@@ -234,7 +246,7 @@ def test_antichain_counts_match_brute_force_labelings():
 
 def test_antichain_counts_frozen():
     def count(n, mode):
-        return sum(1 for _ in enumerate_antichains(build_poset(n, mode)))
+        return sum(1 for _ in build_poset(n, mode).antichains())
 
     assert count(3, "extended") == 36
     assert count(5, "extended") == 768
@@ -304,3 +316,11 @@ def test_to_dot():
     for node in po.nodes:
         assert f"({node.rho},{node.alpha})" in dot
     assert dot.count(" -> ") == len(po.covers)
+
+
+def test_hasse_output_is_byte_identical():
+    digest = hashlib.sha256()
+    for mode in MODES:
+        for n in range(1, 22, 2):
+            digest.update(to_dot(build_poset(n, mode)).encode())
+    assert digest.hexdigest() == HASSE_DIGEST
