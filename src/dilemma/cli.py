@@ -22,11 +22,10 @@ from .optimal import (GoodnessProfile, classical_rule, classify,
                       goodness_intervals, is_good, optimal_rule, pb_region)
 from .poset import build_poset, max_antichain_size, to_dot
 from .probability import Homogeneous, as_profile, loss
-from .ranking import (DEFAULT_K, ENUMERATION_BOUND, RankingRequest,
-                      evaluate_rule, rank_rules, ranking_record)
+from .ranking import DEFAULT_K, RankingRequest, rank_rules, ranking_record
 from .rules import DecisionRule
-from .tables import (TableClass, class_count, enumerate_classes, table_class,
-                     table_count, validate_table, whitney_numbers)
+from .tables import (class_count, enumerate_classes, table_class, table_count,
+                     validate_table, whitney_numbers)
 
 _POSET_MODES = {"extended": "extended", "quotient": "quotient",
                 "reduced": "optimality_reduced",
@@ -107,26 +106,19 @@ def _cmd_optimal(args) -> int:
 
 # --- rank ------------------------------------------------------------------
 
-def _rank_one(args, mode: str):
-    req = RankingRequest(args.n, args.w, as_profile(_theta_values(args.theta)),
-                         mode=mode, k=args.k, force=args.force)
-    return req, rank_rules(req)
-
-
 def _cmd_rank(args) -> int:
     modes = ("extended", "compact") if args.mode == "both" else (args.mode,)
-    records = []
-    for mode in modes:
-        req, ranked = _rank_one(args, mode)
-        records.append((req, ranked))
+    profile = as_profile(_theta_values(args.theta))
+    reqs = [RankingRequest(args.n, args.w, profile, mode=mode, k=args.k, force=args.force)
+            for mode in modes]
+    records = [(req, rank_rules(req)) for req in reqs]
     if args.format == "json":
         out = [ranking_record(req, ranked) for req, ranked in records]
         _print_json(out[0] if len(out) == 1 else out)
         return 0
     d = args.precision
+    thetas = [profile.theta] if isinstance(profile, Homogeneous) else profile.thetas
     for req, ranked in records:
-        profile = as_profile(req.profile)
-        thetas = [profile.theta] if isinstance(profile, Homogeneous) else profile.thetas
         print(f"mode {req.mode}  n={req.n} w={_sig(req.w, d)} "
               f"thetas={','.join(_sig(t, d) for t in thetas)}")
         for r in ranked:
@@ -213,8 +205,11 @@ def _cmd_region(args) -> int:
 def _cmd_hasse(args) -> int:
     dot = to_dot(build_poset(args.n, _POSET_MODES[args.mode]))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(dot)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot write the output: {exc}") from None
     else:
         sys.stdout.write(dot)
     return 0

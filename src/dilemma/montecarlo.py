@@ -49,11 +49,13 @@ class SimulationSpec:
         object.__setattr__(self, "state", as_state(self.state))
         object.__setattr__(self, "profile", as_profile(self.profile))
         profile_thetas(self.profile, self.n)
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if (not isinstance(self.trials, int) or isinstance(self.trials, bool)
+                or self.trials < 1):
             raise InvalidParameterError(f"trials must be a positive int, got {self.trials!r}")
         # SeedSequence takes no negative entropy; remapping one would
         # silently alias another seed's stream
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or self.seed < 0):
             raise InvalidParameterError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.rule is not None and self.rule.n != self.n:
             raise InvalidParameterError(

@@ -238,8 +238,8 @@ def pb_region(n: int, resolution: int = 100):
     theta-major; the arguments are checked before it is returned.
     """
     validate_n(n)
-    if resolution < 1:
-        raise InvalidParameterError(f"resolution must be >= 1, got {resolution}")
+    if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 1:
+        raise InvalidParameterError(f"resolution must be an int >= 1, got {resolution!r}")
     thetas = [0.5 + (i + 0.5) / (2.0 * resolution) for i in range(resolution)]
     ws = [(j + 0.5) / resolution for j in range(resolution)]
     return ((theta, w, pb_optimal(n, w, theta), pb_optimal_sufficient(w, theta))

@@ -145,13 +145,11 @@ class Poset:
         return tuple(self.nodes[i] for i in sorted(idxs)
                      if idxs.isdisjoint(self._down[i]))
 
-    def antichains(self, first=None) -> Iterator[tuple]:
+    def antichains(self) -> Iterator[tuple]:
         """Stream every antichain exactly once, elements in node order.
 
         Depth-first extension in index order; the empty antichain comes
         first, then streams ordered lexicographically by index tuple.
-        ``first`` restricts to antichains whose lowest-index element is
-        that node, which partitions the work for parallel scans.
         """
         comp = self._comp_masks()
         N = len(self.nodes)
@@ -165,14 +163,8 @@ class Poset:
                 yield cur
                 yield from extend(cur, forbidden | comp[i], i + 1)
 
-        if first is None:
-            yield ()
-            yield from extend((), 0, 0)
-        else:
-            i = self._idx(first)
-            head = (nodes[i],)
-            yield head
-            yield from extend(head, comp[i], i + 1)
+        yield ()
+        yield from extend((), 0, 0)
 
 
 def _extended_up(n, tables):

@@ -19,21 +19,22 @@ view of the same numbers for tests and oracles.
 
 False positives weigh the positive tables under PnQ (by symmetry nPQ
 gives the same number for any rule considered here); false negatives
-weigh the negative tables under PQ.  Everything is double precision;
-masses are summed with math.fsum, which is correctly rounded, so
-repeated calls give identical bytes.
+weigh the negative tables under PQ.  A rule's mass sums ``mass[i]``
+over its node indices with math.fsum, which is correctly rounded and
+so independent of the order of the terms: repeated calls give
+identical bytes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidParameterError
-from .poset import build_poset
 from .rules import DecisionRule
 from .tables import (enumerate_tables, ordered_tables, validate_n, validate_table,
                      validate_theta, validate_w)
@@ -119,8 +120,9 @@ class NegativePrior:
 
     def __post_init__(self):
         ws = (self.pnq, self.npq, self.npnq)
-        if any(w < 0 for w in ws):
-            raise InvalidParameterError(f"prior weights must be >= 0, got {ws}")
+        # weights that sum to 1 lie in [0, 1]; NaN fails both comparisons
+        if not all(isinstance(w, numbers.Real) and 0 <= w <= 1 for w in ws):
+            raise InvalidParameterError(f"prior weights must be reals in [0, 1], got {ws}")
         if abs(math.fsum(ws) - 1.0) > 1e-12:
             raise InvalidParameterError(f"prior weights must sum to 1, got {ws}")
 
@@ -282,20 +284,15 @@ def table_prob(table, state, profile) -> float:
     return table_law(T.n, state, profile)[T]
 
 
-def _node_indices(rule: DecisionRule) -> set:
-    index = build_poset(rule.n, "extended").index
-    return {index[T] for T in rule.positives}
-
-
 def positive_mass(rule: DecisionRule, state, profile) -> float:
     """Probability that the rule answers yes under the given state."""
     mass = node_law(rule.n, state, profile).mass
-    return math.fsum(mass[i] for i in _node_indices(rule))
+    return math.fsum(mass[i] for i in rule.indices)
 
 
 def negative_mass(rule: DecisionRule, state, profile) -> float:
     mass = node_law(rule.n, state, profile).mass
-    pos = _node_indices(rule)
+    pos = rule.indices
     return math.fsum(m for i, m in enumerate(mass) if i not in pos)
 
 

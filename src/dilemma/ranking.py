@@ -22,7 +22,7 @@ from .poset import build_poset
 from .probability import (Homogeneous, PerVoter, RuleEvaluation, State,
                           as_profile, loss, node_law, profile_thetas)
 from .rules import DecisionRule
-from .tables import class_members, validate_n, validate_w
+from .tables import validate_n, validate_w
 
 MODES = ("extended", "compact")
 ENUMERATION_BOUND = {"extended": 5, "compact": 9}
@@ -48,19 +48,19 @@ class RankedRule:
     evaluation: RuleEvaluation
 
 
-def _classical_positives(n: int) -> dict:
-    return {kind: classical_rule(kind, n).positives for kind in ("pb", "cb", "hb")}
+def _classical_indices(n: int) -> dict:
+    return {kind: classical_rule(kind, n).indices for kind in ("pb", "cb", "hb")}
 
 
 def _classical_name(rule: DecisionRule, classical: dict) -> str | None:
-    names = [kind for kind, pos in classical.items() if rule.positives == pos]
+    names = [kind for kind, idxs in classical.items() if rule.indices == idxs]
     return ",".join(names) if names else None
 
 
 def evaluate_rule(rule: DecisionRule, w, profile) -> RankedRule:
     """Loss evaluation plus detection of the textbook rules."""
     profile = as_profile(profile)
-    name = _classical_name(rule, _classical_positives(rule.n))
+    name = _classical_name(rule, _classical_indices(rule.n))
     return RankedRule(None, rule.antichain, name, rule, loss(rule, w, profile))
 
 
@@ -69,8 +69,8 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
     n = validate_n(request.n)
     if request.mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {request.mode!r}")
-    if request.k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {request.k}")
+    if not isinstance(request.k, int) or isinstance(request.k, bool) or request.k < 1:
+        raise InvalidParameterError(f"k must be an int >= 1, got {request.k!r}")
     w = validate_w(request.w)
     bound = ENUMERATION_BOUND[request.mode]
     if n > bound and not request.force:
@@ -88,8 +88,9 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
         fp_c, fn_c = law_fp.mass, law_fn.mass
     else:
         # class weights add each member's two tables in turn, in node order
-        index = build_poset(n, "extended").index
-        members = [[index[T] for T in class_members(c, n)] for c in po.nodes]
+        members = [[] for _ in po.nodes]
+        for j, T in enumerate(build_poset(n, "extended").nodes):
+            members[po.index[T.rho, T.alpha]].append(j)
 
         def class_mass(law):
             out = []
@@ -120,7 +121,7 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
         candidates.append((score, fp, bitset, ac))
     candidates.sort(key=lambda c: c[:3])
 
-    classical = _classical_positives(n)
+    classical = _classical_indices(n)
     ranked = []
     for rank, (_, _, _, ac) in enumerate(candidates[:request.k], start=1):
         if request.mode == "extended":

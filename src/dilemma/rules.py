@@ -2,7 +2,9 @@
 
 A rule maps each table of a fixed committee size to a conclusion
 verdict.  Rules here are always premiss-symmetric (they cannot tell y
-from z), so the positive set is stored as canonical tables.  A rule is
+from z), so a rule is stored as the set of node indices of
+``build_poset(n, "extended")`` that it accepts; ``positives``, the
+canonical tables at those nodes, is a view derived from it.  A rule is
 admissible when its positive set is also upward closed in the single
 ballot shift order: shifting any voter toward the premisses never
 flips a yes back to a no.  Admissible rules are exactly the upper sets
@@ -24,22 +26,26 @@ from .tables import (TableClass, canonical, class_members, class_sort_key,
 @dataclass(frozen=True)
 class DecisionRule:
     n: int
-    positives: frozenset  # canonical tables answered "yes"
-    antichain: tuple      # minimal positives, node order
+    indices: frozenset  # extended-poset node indices answered "yes"
+    antichain: tuple    # minimal positives, node order
     admissible: bool
+
+    @classmethod
+    def _of(cls, n: int, idxs: frozenset) -> "DecisionRule":
+        po = build_poset(n, "extended")
+        above = po.strictly_above(idxs)
+        minimal = tuple(po.nodes[i] for i in sorted(idxs) if i not in above)
+        return cls(n, idxs, minimal, above <= idxs)
 
     @classmethod
     def from_tables(cls, n: int, tables) -> "DecisionRule":
         validate_n(n)
-        pos = frozenset(canonical(T) for T in tables)
+        pos = {canonical(T) for T in tables}
         for T in pos:
             if T.n != n:
                 raise InvalidParameterError(f"table {tuple(T)} has size {T.n}, not {n}")
-        po = build_poset(n, "extended")
-        idxs = sorted(po.index[T] for T in pos)
-        above = po.strictly_above(idxs)
-        minimal = tuple(po.nodes[i] for i in idxs if i not in above)
-        return cls(n, pos, minimal, above.issubset(idxs))
+        index = build_poset(n, "extended").index
+        return cls._of(n, frozenset(index[T] for T in pos))
 
     @classmethod
     def from_antichain(cls, n: int, antichain) -> "DecisionRule":
@@ -49,20 +55,26 @@ class DecisionRule:
 
     @classmethod
     def from_classes(cls, n: int, classes) -> "DecisionRule":
-        tabs = [T for c in classes for T in class_members(c, n)]
-        return cls.from_tables(n, tabs)
+        index = build_poset(validate_n(n), "extended").index
+        return cls._of(n, frozenset(index[T] for c in classes for T in class_members(c, n)))
 
     @classmethod
     def from_predicate(cls, n: int, predicate) -> "DecisionRule":
         """Rule accepting the canonical tables where predicate(T) is true."""
         po = build_poset(validate_n(n), "extended")
-        return cls.from_tables(n, [T for T in po.nodes if predicate(T)])
+        return cls._of(n, frozenset(i for i, T in enumerate(po.nodes) if predicate(T)))
+
+    @cached_property
+    def positives(self) -> frozenset:
+        """Canonical tables answered "yes", read off ``indices``."""
+        nodes = build_poset(self.n, "extended").nodes
+        return frozenset(nodes[i] for i in self.indices)
 
     def decides(self, table) -> int:
         T = canonical(table)
         if T.n != self.n:
             raise InvalidParameterError(f"table {tuple(table)} has size {T.n}, not {self.n}")
-        return int(T in self.positives)
+        return int(build_poset(self.n, "extended").index[T] in self.indices)
 
     def positive_classes(self) -> tuple:
         """Classes touched by the positive set, descending (rho, alpha)."""
@@ -70,14 +82,15 @@ class DecisionRule:
 
     @cached_property
     def _classes(self) -> tuple:
-        # the stored tables are valid by construction: no revalidation
-        return tuple(sorted({TableClass(T.rho, T.alpha) for T in self.positives},
+        nodes = build_poset(self.n, "extended").nodes
+        return tuple(sorted({TableClass(nodes[i].rho, nodes[i].alpha) for i in self.indices},
                             key=class_sort_key))
 
     def is_class_constant(self) -> bool:
         """True when the verdict depends on the table only through its class."""
-        return all(set(class_members(c, self.n)) <= self.positives
-                   for c in self.positive_classes())
+        index = build_poset(self.n, "extended").index
+        return all(index[T] in self.indices
+                   for c in self.positive_classes() for T in class_members(c, self.n))
 
     def __repr__(self):
         tag = "admissible" if self.admissible else "inadmissible"

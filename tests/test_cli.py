@@ -11,6 +11,10 @@ from dilemma.cli import build_parser, run
 # SHA-256 of `dilemma optimal --n 99 --w 0.5 --theta 0.7 --format json`
 # stdout, recorded before the covers were read off the (x, y, z) cube
 OPTIMAL_99_DIGEST = "eb7a2c4d5bbbe019f646f8f8fccbba978715a5813e43b061bcd57daf5fbe5179"
+# SHA-256 over `dilemma optimal` stdout, JSON then text, for every odd
+# n <= 21, theta in (0.55, 0.7, 0.9) and w in (0.3, 0.5, 0.8), recorded
+# before rules were stored as node index sets
+OPTIMAL_SWEEP_DIGEST = "9ea959639ea777a24f79d9c15c6349a09ffb9c1ba1fb6a47f82040fd0f315468"
 
 
 def run_ok(capsys, *argv):
@@ -31,7 +35,7 @@ def test_exit_codes(capsys):
     assert "error:" in err
 
 
-def test_bad_arguments_exit_2_before_any_output(capsys):
+def test_bad_arguments_exit_2_before_any_output(tmp_path, capsys):
     assert run(["optimal", "--n", "3", "--w", "0.5", "--theta", "0.6",
                 "--precision", "-1"]) == 2
     assert capsys.readouterr().out == ""
@@ -41,12 +45,27 @@ def test_bad_arguments_exit_2_before_any_output(capsys):
                 "--trials", "10", "--seed", "-1"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "seed must be an int >= 0" in out.err
+    for target in (tmp_path / "missing" / "graph.dot", tmp_path):
+        assert run(["hasse", "--n", "3", "--output", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: cannot write ")
 
 
 def test_optimal_n99_json_is_byte_identical(capsys):
     out = run_ok(capsys, "optimal", "--n", "99", "--w", "0.5", "--theta", "0.7",
                  "--format", "json")
     assert hashlib.sha256(out.encode()).hexdigest() == OPTIMAL_99_DIGEST
+
+
+def test_optimal_sweep_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for n in range(1, 22, 2):
+        for theta in ("0.55", "0.7", "0.9"):
+            for w in ("0.3", "0.5", "0.8"):
+                for fmt in ("json", "text"):
+                    digest.update(run_ok(capsys, "optimal", "--n", str(n), "--w", w,
+                                         "--theta", theta, "--format", fmt).encode())
+    assert digest.hexdigest() == OPTIMAL_SWEEP_DIGEST
 
 
 def test_decide_beyond_the_float_range(capsys):

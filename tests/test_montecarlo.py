@@ -45,15 +45,16 @@ def test_spec_validation():
         SimulationSpec(4, "PQ", 0.6, 100, 1)
     with pytest.raises(InvalidParameterError):
         SimulationSpec(3, "XX", 0.6, 100, 1)
-    with pytest.raises(InvalidParameterError):
-        SimulationSpec(3, "PQ", 0.6, 0, 1)
+    for trials in (0, True, 2.5):
+        with pytest.raises(InvalidParameterError):
+            SimulationSpec(3, "PQ", 0.6, trials, 1)
     with pytest.raises(InvalidParameterError):
         SimulationSpec(3, "PQ", 0.6, 100, 1.5)
     with pytest.raises(InvalidParameterError):
         SimulationSpec(3, "PQ", 1.2, 100, 1)
     with pytest.raises(InvalidParameterError):
         SimulationSpec(3, "PQ", 0.6, 100, 1, rule=classical_rule("pb", 5))
-    for seed in (-1, -(2**70)):
+    for seed in (-1, -(2**70), True):
         with pytest.raises(InvalidParameterError, match="seed must be an int >= 0"):
             SimulationSpec(3, "PQ", 0.6, 100, seed)
     assert SimulationSpec(3, "PQ", 0.6, 100, 0).seed == 0

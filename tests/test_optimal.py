@@ -321,5 +321,6 @@ def test_pb_region_shape():
         assert isinstance(exact, bool) and isinstance(sufficient, bool)
         if sufficient:
             assert exact
-    with pytest.raises(InvalidParameterError):
-        pb_region(3, 0)
+    for resolution in (0, 2.5, True, "10"):
+        with pytest.raises(InvalidParameterError):
+            pb_region(3, resolution)

@@ -268,16 +268,6 @@ def test_antichain_stream_properties():
                 assert not po.comparable(a, b)
 
 
-def test_antichains_first_partitions_the_stream():
-    po = build_poset(3, "quotient")
-    full = {c for c in po.antichains() if c}
-    parts = []
-    for v in po.nodes:
-        parts.extend(po.antichains(first=v))
-    assert set(parts) == full
-    assert len(parts) == len(full)
-
-
 def test_max_antichain_size():
     for n in (1, 3, 5):
         po = build_poset(n, "extended")

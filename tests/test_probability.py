@@ -201,6 +201,12 @@ def test_rule_fp_bayes():
         NegativePrior(0.5, 0.5, 0.5)
     with pytest.raises(InvalidParameterError):
         NegativePrior(-0.1, 0.6, 0.5)
+    for bad in ((math.nan, 0.5, 0.5), (0.5, math.inf, -math.inf), ("0.5", 0.25, 0.25),
+                (None, 0.5, 0.5), (0.5j, 0.25, 0.25)):
+        with pytest.raises(InvalidParameterError):
+            NegativePrior(*bad)
+        with pytest.raises(InvalidParameterError):
+            rule_fp_bayes(pb, th, bad)
 
 
 def test_loss():

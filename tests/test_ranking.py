@@ -173,8 +173,9 @@ def test_force_allows_larger_compact_scans():
 def test_request_validation():
     with pytest.raises(InvalidParameterError):
         rank_rules(RankingRequest(3, 0.5, 0.6, mode="quotient"))
-    with pytest.raises(InvalidParameterError):
-        rank_rules(RankingRequest(3, 0.5, 0.6, k=0))
+    for k in (0, 2.5, True, "2"):
+        with pytest.raises(InvalidParameterError):
+            rank_rules(RankingRequest(3, 0.5, 0.6, k=k))
     with pytest.raises(InvalidParameterError):
         rank_rules(RankingRequest(3, 1.5, 0.6))
     with pytest.raises(InvalidParameterError):

@@ -1,6 +1,8 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dilemma import (
@@ -146,6 +148,56 @@ def test_from_tables_matches_cover_closure(n):
             assert [tuple(T) for T in rule.antichain] == minimal
             assert rule.admissible == all(up[T] <= pos for T in pos)
             assert {tuple(T) for T in rule.positives} == pos
+
+
+@functools.lru_cache(maxsize=None)
+def cover_closure(n):
+    po = build_poset(n, "extended")
+    return oracles.closure_from_covers([tuple(v) for v in po.nodes], as_pairs(po.covers))
+
+
+def assert_rule_is(rule, n, pos):
+    """The fields and views of a rule as the cover closure gives them."""
+    po = build_poset(n, "extended")
+    up = cover_closure(n)
+    above = set().union(*(up[T] - {T} for T in pos))
+    assert {tuple(T) for T in rule.positives} == pos
+    assert [tuple(T) for T in rule.antichain] == sorted(pos - above, key=po.index.get)
+    assert rule.admissible == all(up[T] <= pos for T in pos)
+    assert rule.indices == {po.index[T] for T in rule.positives}
+    classes = {(x - t, y - z) for x, y, z, t in pos}
+    assert [tuple(c) for c in rule.positive_classes()] == sorted(
+        classes, key=lambda c: (-c[0], -c[1]))
+    assert rule.is_class_constant() == all(
+        T in pos for T in up if (T[0] - T[3], T[1] - T[2]) in classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 3, 5, 7, 9, 11, 13)), st.data())
+def test_every_constructor_matches_the_cover_closure(n, data):
+    po = build_poset(n, "extended")
+    up = cover_closure(n)
+    nodes = [tuple(v) for v in po.nodes]
+    pos = set(data.draw(st.lists(st.sampled_from(nodes), max_size=40)))
+    if data.draw(st.booleans()):
+        pos = set().union(*(up[T] for T in pos))
+
+    def given_as(tables):
+        # each table handed over as is or with y and z swapped
+        flips = data.draw(st.lists(st.booleans(), min_size=len(tables),
+                                   max_size=len(tables)))
+        return [(x, z, y, t) if f else (x, y, z, t)
+                for (x, y, z, t), f in zip(tables, flips)]
+
+    assert_rule_is(DecisionRule.from_tables(n, given_as(sorted(pos))), n, pos)
+    assert_rule_is(DecisionRule.from_predicate(n, lambda T: tuple(T) in pos), n, pos)
+    closure = set().union(*(up[T] for T in pos))
+    minimal = [T for T in nodes if T in closure
+               and not any(S != T and T in up[S] for S in closure)]
+    assert_rule_is(DecisionRule.from_antichain(n, given_as(minimal)), n, closure)
+    classes = data.draw(st.lists(st.sampled_from(oracles.classes(n)), max_size=12))
+    members = {T for T in nodes if (T[0] - T[3], T[1] - T[2]) in set(classes)}
+    assert_rule_is(DecisionRule.from_classes(n, classes), n, members)
 
 
 def test_decides_is_transpose_invariant():
