@@ -27,6 +27,7 @@ which classes leave the optimal rule as competence grows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +39,9 @@ from .tables import (TableClass, enumerate_classes, table_class, validate_class,
 # |G(eta_star) - xi| below this band is reported as a degenerate
 # tangency instead of guessing zero or two crossings
 TANGENCY_BAND = 1e-14
+# largest bisection bracket end: the midpoint of two floats up to here
+# cannot overflow, and eta / (1 + eta) rounds to 1 long before it
+ETA_MAX = sys.float_info.max / 2
 
 
 class TableType(Enum):
@@ -137,13 +141,16 @@ def goodness_intervals(cls_or_table, w, tol: float = 1e-12) -> GoodnessProfile:
     Every crossing is bracketed analytically before bisection: the
     bound eta_a = xi**(1/(alpha-rho)) caps any crossing on a rising
     branch since eta**(alpha-rho) < G(eta), and for falling type-b
-    curves (w/(1-w))**(1/(rho-alpha)) caps the single crossing.
+    curves (w/(1-w))**(1/(rho-alpha)) caps the single crossing.  At a
+    denormal w, xi overflows to inf; eta_a is then held to ETA_MAX,
+    where theta already rounds to 1, so every window end stays finite.
     """
     c = _as_class(cls_or_table)
     kind = classify(c)
     w = validate_w(w)
     rho, alpha = c
     xi = _xi(w)
+    eta_a = None if kind is TableType.B else min(xi ** (1.0 / (alpha - rho)), ETA_MAX)
 
     def f(eta):
         # the bracket may start at the open end of the domain; G -> 2 there
@@ -155,7 +162,7 @@ def goodness_intervals(cls_or_table, w, tol: float = 1e-12) -> GoodnessProfile:
         if w >= 0.5:
             intervals = ()
         else:
-            eta0 = _bisect(f, 1.0, xi ** (1.0 / (alpha - rho)), tol)
+            eta0 = _bisect(f, 1.0, eta_a, tol)
             intervals = ((0.5, _theta_of(eta0)),)
     elif kind is TableType.B:
         if w <= 0.5:
@@ -167,7 +174,7 @@ def goodness_intervals(cls_or_table, w, tol: float = 1e-12) -> GoodnessProfile:
     else:
         es = eta_star(c)
         if w <= 0.5:
-            eta0 = _bisect(f, es, xi ** (1.0 / (alpha - rho)), tol)
+            eta0 = _bisect(f, es, eta_a, tol)
             intervals = ((0.5, _theta_of(eta0)),)
         else:
             gap = g_eval(c, es) - xi
@@ -178,7 +185,7 @@ def goodness_intervals(cls_or_table, w, tol: float = 1e-12) -> GoodnessProfile:
                 intervals = ()
             else:
                 lo = _bisect(f, 1.0, es, tol)
-                hi = _bisect(f, es, xi ** (1.0 / (alpha - rho)), tol)
+                hi = _bisect(f, es, eta_a, tol)
                 intervals = ((_theta_of(lo), _theta_of(hi)),)
     return GoodnessProfile(c, kind, w, intervals, degenerate)
 

@@ -2,7 +2,10 @@
 
 Everything here works on plain tuples and recomputes results from the
 definitions, deliberately not importing the package, so tests can
-compare the two paths.
+compare the two paths.  ``rank_scan`` is the one exception: it keeps
+the antichain scan that ``rank_rules`` used before it scored a cached
+upper-set table, run on the package's poset and laws, as the reference
+for that table.
 """
 
 import math
@@ -244,3 +247,76 @@ def block_tally(n, state, thetas, trials, seed, block_trials=1 << 16):
         z = (~vote_p & vote_q).sum(axis=1)
         tally += np.bincount((x * base + y) * base + z, minlength=base**3)
     return tally
+
+
+def rank_scan(request):
+    """Top-k ranking by scanning every antichain, building its upper set
+    and summing the node masses that the set contains in node order.
+
+    The scan that ``rank_rules`` replaced, kept verbatim but for three
+    things: no validation, the classical names looked up inline, and a
+    false negative total that adds the masses left to right, as builtin
+    sum did before Python 3.12.
+    """
+    from dilemma.optimal import classical_rule
+    from dilemma.poset import build_poset
+    from dilemma.probability import State, as_profile, loss, node_law
+    from dilemma.ranking import RankedRule
+    from dilemma.rules import DecisionRule
+
+    n, w = request.n, request.w
+    profile = as_profile(request.profile)
+    po = build_poset(n, "extended" if request.mode == "extended" else "quotient")
+    law_fp = node_law(n, State.PnQ, profile)
+    law_fn = node_law(n, State.PQ, profile)
+
+    if request.mode == "extended":
+        fp_c, fn_c = law_fp.mass, law_fn.mass
+    else:
+        # class weights add each member's two tables in turn, in node order
+        members = [[] for _ in po.nodes]
+        for j, T in enumerate(build_poset(n, "extended").nodes):
+            members[po.index[T.rho, T.alpha]].append(j)
+
+        def class_mass(law):
+            out = []
+            for idxs in members:
+                total = 0.0
+                for j in idxs:
+                    total += law.canon[j]
+                    total += law.trans[j]
+                out.append(total)
+            return out
+
+        fp_c, fn_c = class_mass(law_fp), class_mass(law_fn)
+    fn_total = 0.0
+    for m in fn_c:
+        fn_total += m
+    N = len(po.nodes)
+
+    candidates = []
+    for ac in po.antichains():
+        pos = po.upper_set(ac)
+        fp = 0.0
+        miss = 0.0
+        bitset = 0
+        for i, v in enumerate(po.nodes):
+            if v in pos:
+                fp += fp_c[i]
+                miss += fn_c[i]
+                bitset |= 1 << (N - 1 - i)
+        score = w * fp + (1.0 - w) * (fn_total - miss)
+        candidates.append((score, fp, bitset, ac))
+    candidates.sort(key=lambda c: c[:3])
+
+    classical = {kind: classical_rule(kind, n).indices for kind in ("pb", "cb", "hb")}
+    ranked = []
+    for rank, (_, _, _, ac) in enumerate(candidates[:request.k], start=1):
+        if request.mode == "extended":
+            rule = DecisionRule.from_antichain(n, ac)
+        else:
+            rule = DecisionRule.from_classes(n, po.upper_set(ac))
+        names = [kind for kind, idxs in classical.items() if rule.indices == idxs]
+        ranked.append(RankedRule(rank, ac, ",".join(names) if names else None, rule,
+                                 loss(rule, w, profile)))
+    return ranked

@@ -1,9 +1,13 @@
-"""No module of the package keeps a top-level import that it never uses.
+"""Lint checks that no linter shipped with the project makes.
 
-No linter ships with the project, so this walks each module's syntax
-tree: every name bound by a top-level import must occur as a name
-somewhere in the module.  ``__init__`` is skipped, since its imports
-are the public re-exports.
+Each walks a module's syntax tree.  No module of the package keeps a
+top-level import that it never uses: every name bound by a top-level
+import must occur as a name somewhere in the module (``__init__`` is
+skipped, since its imports are the public re-exports).  The modules
+that add up probabilities make no builtin ``sum`` call: it is
+compensated from Python 3.12 on, so its bits, and the order of exact
+ties, would depend on the interpreter; float totals use ``math.fsum``
+or an explicit loop.
 """
 
 import ast
@@ -35,3 +39,23 @@ def test_the_check_sees_an_unused_import():
                                         if p.name != "__init__.py"))
 def test_no_unused_top_level_import(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+# the integer counts in cli and montecarlo may use builtin sum
+FLOAT_MODULES = ("optimal.py", "probability.py", "ranking.py", "rules.py")
+
+
+def builtin_sum_lines(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+def test_the_check_sees_a_builtin_sum():
+    assert builtin_sum_lines("import math\nx = math.fsum(v)\ny = np.sum(v)\n"
+                             "z = f(sum(v), 1)\n") == [4]
+
+
+@pytest.mark.parametrize("path", FLOAT_MODULES)
+def test_no_builtin_sum_in_float_code(path):
+    assert builtin_sum_lines((PACKAGE / path).read_text()) == []

@@ -222,8 +222,16 @@ def test_simulate_memory_stays_chunk_sized():
 
 def test_importing_the_package_and_cli_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(dilemma.__file__)))
-    code = ("import sys, dilemma, dilemma.cli; "
-            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "[]"
+    report = ("print(sorted(m for m in ('numpy', 'concurrent.futures') "
+              "if m in sys.modules))")
+    for code in (
+        "import sys, dilemma, dilemma.cli\n",
+        # a homogeneous ranking reads the pure-Python law
+        "import contextlib, io, sys, dilemma.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert dilemma.cli.run(['rank', '--n', '5', '--w', '0.5',\n"
+        "                            '--theta', '0.7', '--mode', 'both']) == 0\n",
+    ):
+        out = subprocess.run([sys.executable, "-c", code + report], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "[]", code

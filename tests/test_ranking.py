@@ -4,10 +4,12 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dilemma import (
     DecisionRule,
+    Homogeneous,
     InvalidParameterError,
     PerVoter,
     RankingRequest,
@@ -21,7 +23,7 @@ from dilemma import (
     ranking_record,
 )
 from dilemma.cli import run
-from dilemma.ranking import ENUMERATION_BOUND
+from dilemma.ranking import ENUMERATION_BOUND, TABLE_CACHE_SIZE, _table
 
 # SHA-256 prefixes of `dilemma rank --format json` then `--format text
 # --precision 17` stdout, recorded before the rankings read the per-node
@@ -42,6 +44,9 @@ RANK_TIE_DIGESTS = {
     (9, "0.5", "0.5", "compact", 40): "e99e02dc93e4591b",
     (9, "0.5", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "compact", 40): "0940ca6aeac72ea6",
     (9, "0.5", "0.6,0.6,0.6,0.6,0.6,0.6,0.6,0.6,0.6", "compact", 40): "53c5a1090012008f",
+    # four equal printed losses whose order Python 3.12's compensated
+    # builtin sum used to change
+    (3, "0.3", "0.7", "extended", 40): "e2c26035872e61fd",
 }
 
 
@@ -214,3 +219,51 @@ def test_rank_output_is_byte_identical_on_ties(case):
                         "--precision", "17"]) == 0
         digest.update(out.getvalue().encode())
     assert digest.hexdigest()[:16] == RANK_TIE_DIGESTS[case]
+
+
+def _same_ranking(req):
+    ranked, scanned = rank_rules(req), oracles.rank_scan(req)
+    assert json.dumps(ranking_record(req, ranked)) == \
+        json.dumps(ranking_record(req, scanned))
+    assert [r.rule for r in ranked] == [r.rule for r in scanned]
+    assert [r.antichain for r in ranked] == [r.antichain for r in scanned]
+
+
+@st.composite
+def ranking_requests(draw):
+    mode = draw(st.sampled_from(("extended", "compact")))
+    n = draw(st.sampled_from((1, 3, 5) if mode == "extended" else (1, 3, 5, 7, 9)))
+    w = draw(st.one_of(st.just(0.5), st.floats(0.01, 0.99)))
+    theta = st.one_of(st.sampled_from((0.5, 0.6, 0.7)), st.floats(0.5, 0.99))
+    kind = draw(st.sampled_from(("homogeneous", "equal", "per-voter")))
+    if kind == "homogeneous":
+        profile = Homogeneous(draw(theta))
+    elif kind == "equal":
+        profile = PerVoter((draw(theta),) * n)
+    else:
+        profile = PerVoter(tuple(draw(theta) for _ in range(n)))
+    k = draw(st.sampled_from((1, 5, 10**6)))
+    return RankingRequest(n, w, profile, mode=mode, k=k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranking_requests())
+def test_table_ranking_matches_the_antichain_scan(req):
+    # float bits and tie order included: theta = 1/2, w = 1/2 and
+    # all-equal profiles make exact ties
+    _same_ranking(req)
+
+
+@pytest.mark.parametrize("n, mode", [(7, "extended"), (11, "compact")])
+def test_forced_table_ranking_matches_the_antichain_scan(n, mode):
+    _same_ranking(RankingRequest(n, 0.5, PerVoter((0.6,) * (n - 2) + (0.7, 0.8)),
+                                 mode=mode, k=8, force=True))
+
+
+def test_upper_set_tables_stay_within_the_cache_bound():
+    for mode, ns in (("extended", (1, 3, 5)), ("compact", (1, 3, 5, 7, 9))):
+        for n in ns:
+            rank_rules(RankingRequest(n, 0.5, 0.6, mode=mode, k=1))
+            info = _table.cache_info()
+            assert info.maxsize == TABLE_CACHE_SIZE
+            assert info.currsize <= TABLE_CACHE_SIZE

@@ -10,6 +10,7 @@ count that is not an int.
 """
 
 import io
+import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -125,3 +126,20 @@ def test_cli_exits_0_or_2_with_empty_stdout_on_2(cmd, params, per_voter):
     if code == 2:
         assert out.getvalue() == ""
         assert "error" in err.getvalue()
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("1", "3", "5", "21")),
+       st.one_of(st.sampled_from((5e-324, 1e-310, 2.2250738585072014e-308, 1e-300)),
+                 st.floats(5e-324, 1.0, exclude_max=True)))
+def test_classify_json_windows_are_finite_down_to_denormal_w(n, w):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["classify", "--n", n, "--w", repr(w), "--format", "json"]) == 0
+    for entry in json.loads(out.getvalue(), parse_constant=_not_json):
+        for lo, hi in entry["intervals"]:
+            assert 0.5 <= lo <= hi <= 1.0
