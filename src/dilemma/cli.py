@@ -7,14 +7,20 @@ one table), ``region`` (CSV grid of premiss-wise optimality), ``hasse``
 (Graphviz export), ``simulate`` (Monte Carlo tallies) and ``count``
 (structure counts).  Everything is controlled by flags; there are no
 config files or environment variables.  Exit codes: 0 success, 2 bad
-arguments, 1 internal failure.
+arguments, 1 internal failure, 141 (128 + SIGPIPE) when the reader of
+stdout closes it early; nothing goes to stderr in that case.
+
+``run`` builds the argument parser on its first call and reuses it
+for every later call in the process; importing this module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
 
 from .errors import InvalidParameterError, StructuralError
 from .montecarlo import SimulationSpec, simulate
@@ -382,14 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args fills a fresh namespace per call, so one parser serves all
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # the reader went away; main reports it, not as a fault
     except (InvalidParameterError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -399,7 +412,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point fd 1 at devnull, so the flush at interpreter exit has
+        # nowhere to fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

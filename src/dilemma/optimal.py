@@ -22,6 +22,11 @@ classes into three types:
 The greatest competence at which a type-c class stays good is the root
 theta_0 reported by goodness_intervals; those roots drive the order in
 which classes leave the optimal rule as competence grows.
+
+optimal_rule validates (n, w, theta) once, computes eta and the
+threshold xi = 2 * (1 - w) / w once, and then makes one pass over the
+classes with the same float operations as is_good; the rule is the
+union of the good classes' node indices.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import InvalidParameterError, StructuralError
 from .rules import DecisionRule
@@ -67,17 +73,21 @@ def classify(cls_or_table) -> TableType:
     return TableType.C
 
 
+def _g(rho: int, alpha: int, eta: float) -> float:
+    try:
+        return eta ** (-rho - alpha) + eta ** (-rho + alpha)
+    except OverflowError:
+        # a sum of positive terms beyond the float range exceeds every
+        # finite threshold, so inf keeps G < xi exact
+        return math.inf
+
+
 def g_eval(cls_or_table, eta) -> float:
     c = _as_class(cls_or_table)
     eta = float(eta)
     if eta <= 1.0:
         raise InvalidParameterError(f"eta must exceed 1, got {eta}")
-    try:
-        return eta ** (-c.rho - c.alpha) + eta ** (-c.rho + c.alpha)
-    except OverflowError:
-        # a sum of positive terms beyond the float range exceeds every
-        # finite threshold, so inf keeps G < xi exact
-        return math.inf
+    return _g(c.rho, c.alpha, eta)
 
 
 def eta_star(cls_or_table) -> float:
@@ -195,7 +205,10 @@ def optimal_rule(n: int, w, theta) -> DecisionRule:
     validate_n(n)
     w = validate_w(w)
     theta = validate_theta(theta, goodness=True)
-    good = [c for c in enumerate_classes(n) if is_good(c, w, theta)]
+    # the goodness test of is_good, with eta and xi computed once
+    eta = theta / (1.0 - theta)
+    xi = _xi(w)
+    good = [c for c in enumerate_classes(n) if _g(c.rho, c.alpha, eta) < xi]
     rule = DecisionRule.from_classes(n, good)
     if not rule.admissible:
         raise StructuralError(f"good classes at n = {n} do not form an upper set")
@@ -230,12 +243,17 @@ _CLASSICAL = {
 
 def classical_rule(kind: str, n: int) -> DecisionRule:
     """The named textbook rule: 'pb', 'cb' or 'hb'."""
-    try:
-        pred = _CLASSICAL[kind]
-    except KeyError:
+    if kind not in _CLASSICAL:
         raise InvalidParameterError(
-            f"kind must be one of {sorted(_CLASSICAL)}, got {kind!r}") from None
-    return DecisionRule.from_predicate(n, pred)
+            f"kind must be one of {sorted(_CLASSICAL)}, got {kind!r}")
+    # validated before the cache, which would take True for 1
+    return _classical_rule(kind, validate_n(n))
+
+
+# three kinds at a few committee sizes; rules are immutable, so sharing is safe
+@lru_cache(maxsize=12)
+def _classical_rule(kind: str, n: int) -> DecisionRule:
+    return DecisionRule.from_predicate(n, _CLASSICAL[kind])
 
 
 def pb_region(n: int, resolution: int = 100):

@@ -38,7 +38,7 @@ from .optimal import classical_rule
 from .poset import build_poset
 from .probability import (Homogeneous, PerVoter, RuleEvaluation, State,
                           as_profile, loss, node_law, profile_thetas)
-from .rules import DecisionRule
+from .rules import DecisionRule, _class_groups
 from .tables import validate_n, validate_w
 
 MODES = ("extended", "compact")
@@ -111,10 +111,8 @@ def _table(n: int, mode: str) -> _Table:
                  for mask in masks)
     members = ()
     if mode == "compact":
-        grouped = [[] for _ in po.nodes]
-        for j, T in enumerate(build_poset(n, "extended").nodes):
-            grouped[po.index[T.rho, T.alpha]].append(j)
-        members = tuple(map(tuple, grouped))
+        groups = _class_groups(n).members
+        members = tuple(groups[c] for c in po.nodes)
     return _Table(rows, members)
 
 

@@ -10,17 +10,54 @@ ballot shift order: shifting any voter toward the premisses never
 flips a yes back to a no.  Admissible rules are exactly the upper sets
 of the extended poset and are encoded compactly by their antichain of
 minimal positive tables.
+
+The classes (rho, alpha) of the nodes are read off one cached
+grouping per committee size (an LRU cache of CLASS_GROUPS_CACHE_SIZE
+entries): each class's ascending node indices, and each node's class.
+``from_classes`` takes the union of the groups, ``is_class_constant``
+tests each group's indices, and ``positive_classes`` reads the class of
+each accepted node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .poset import build_poset
-from .tables import (TableClass, canonical, class_members, class_sort_key,
+from .tables import (TableClass, canonical, class_sort_key, validate_class,
                      validate_n)
+
+CLASS_GROUPS_CACHE_SIZE = 4
+
+
+class _ClassGroups(NamedTuple):
+    members: dict   # class -> its ascending extended node indices
+    of_node: tuple  # extended node index -> its class
+
+
+@lru_cache(maxsize=CLASS_GROUPS_CACHE_SIZE)
+def _class_groups(n: int) -> _ClassGroups:
+    # walks the nodes in the order enumerate_tables makes them: at margin
+    # rho and x voters for both premisses, y + z = s and y runs down to
+    # the canonical bound, so alpha = y - z runs s, s - 2, ... down to 0 or 1
+    members = {}
+    of_node = []
+    for rho in range(n, -n - 1, -1):
+        at_rho = {}
+        for x in range((n + rho) // 2, max(rho, 0) - 1, -1):
+            s = n + rho - 2 * x
+            for alpha in range(s, -1, -2):
+                group = at_rho.get(alpha)
+                if group is None:
+                    group = at_rho[alpha] = (TableClass(rho, alpha), [])
+                group[1].append(len(of_node))
+                of_node.append(group[0])
+        for c, idxs in at_rho.values():
+            members[c] = tuple(idxs)
+    return _ClassGroups(members, tuple(of_node))
 
 
 @dataclass(frozen=True)
@@ -55,8 +92,8 @@ class DecisionRule:
 
     @classmethod
     def from_classes(cls, n: int, classes) -> "DecisionRule":
-        index = build_poset(validate_n(n), "extended").index
-        return cls._of(n, frozenset(index[T] for c in classes for T in class_members(c, n)))
+        members = _class_groups(validate_n(n)).members
+        return cls._of(n, frozenset(i for c in classes for i in members[validate_class(c, n)]))
 
     @classmethod
     def from_predicate(cls, n: int, predicate) -> "DecisionRule":
@@ -82,15 +119,13 @@ class DecisionRule:
 
     @cached_property
     def _classes(self) -> tuple:
-        nodes = build_poset(self.n, "extended").nodes
-        return tuple(sorted({TableClass(nodes[i].rho, nodes[i].alpha) for i in self.indices},
-                            key=class_sort_key))
+        of_node = _class_groups(self.n).of_node
+        return tuple(sorted({of_node[i] for i in self.indices}, key=class_sort_key))
 
     def is_class_constant(self) -> bool:
         """True when the verdict depends on the table only through its class."""
-        index = build_poset(self.n, "extended").index
-        return all(index[T] in self.indices
-                   for c in self.positive_classes() for T in class_members(c, self.n))
+        members = _class_groups(self.n).members
+        return all(i in self.indices for c in self.positive_classes() for i in members[c])
 
     def __repr__(self):
         tag = "admissible" if self.admissible else "inadmissible"

@@ -2,10 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from dilemma import classical_rule, loss, optimal_rule, rule_fp
+import dilemma
+from dilemma import classical_rule, cli, loss, optimal_rule, rule_fp
 from dilemma.cli import build_parser, run
 
 # SHA-256 of `dilemma optimal --n 99 --w 0.5 --theta 0.7 --format json`
@@ -268,3 +272,62 @@ def test_parser_builds_all_subcommands():
     for name in ("optimal", "rank", "classify", "decide", "region", "hasse",
                  "simulate", "count"):
         assert name in text
+
+
+# a JSON query, a flag optimal does not have (exit 2), a rank with a
+# non-default k, then optimal in the default text format
+REUSE_CALLS = (
+    ["optimal", "--n", "5", "--w", "0.4", "--theta", "0.7", "--format", "json"],
+    ["optimal", "--n", "5", "--w", "0.4", "--theta", "0.7", "--k", "3"],
+    ["rank", "--n", "3", "--w", "0.5", "--theta", "0.7", "--k", "3"],
+    ["optimal", "--n", "5", "--w", "0.4", "--theta", "0.7"],
+)
+
+
+def test_one_parser_serves_every_run_without_leaking_flags(monkeypatch, capsys):
+    def outputs():
+        results = []
+        for argv in REUSE_CALLS:
+            code = run(argv)
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        return results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+        fresh = outputs()
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    assert outputs() == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert len(built) == 1
+
+
+def test_a_closed_pipe_exits_141_without_a_message(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    # run leaves a closed pipe to main instead of calling it an internal error
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        run(["count", "--n", "3"])
+    monkeypatch.undo()
+    # about 190 kB of CSV, far more than a pipe buffers: the writer must
+    # hit the closed pipe after the reader takes one line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dilemma.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-c", "from dilemma.cli import main; main()", "region", "--n", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src}) as proc:
+        assert proc.stdout.readline() == b"theta,w,pb_optimal_exact,pb_optimal_sufficient\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -8,10 +8,16 @@ that add up probabilities make no builtin ``sum`` call: it is
 compensated from Python 3.12 on, so its bits, and the order of exact
 ties, would depend on the interpreter; float totals use ``math.fsum``
 or an explicit loop.
+
+Importing the command line module builds no argument parser: the
+first ``run`` does.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -59,3 +65,27 @@ def test_the_check_sees_a_builtin_sum():
 @pytest.mark.parametrize("path", FLOAT_MODULES)
 def test_no_builtin_sum_in_float_code(path):
     assert builtin_sum_lines((PACKAGE / path).read_text()) == []
+
+
+def parsers_built(code: str) -> int:
+    """ArgumentParser instances made by running code in a fresh process."""
+    counted = ("import argparse\n"
+               "built = []\n"
+               "init = argparse.ArgumentParser.__init__\n"
+               "def counting(self, *args, **kwargs):\n"
+               "    built.append(1)\n"
+               "    init(self, *args, **kwargs)\n"
+               "argparse.ArgumentParser.__init__ = counting\n"
+               + code + "print(len(built))\n")
+    out = subprocess.run([sys.executable, "-c", counted], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    return int(out.stdout.split()[-1])
+
+
+def test_importing_the_cli_builds_no_parser():
+    assert parsers_built("import dilemma.cli\n") == 0
+
+
+def test_the_check_sees_a_parser_built():
+    assert parsers_built("import dilemma.cli\n"
+                         "dilemma.cli.run(['count', '--n', '1'])\n") > 0

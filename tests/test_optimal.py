@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from dilemma import (
@@ -38,6 +39,24 @@ THETA0_AT_HALF = {
 
 def xi(w):
     return 2.0 * (1.0 - w) / w
+
+
+def log_g(cls, eta):
+    """log G(eta) = (alpha - rho) log eta + log1p(eta**(-2 alpha)); never overflows."""
+    rho, alpha = cls
+    log_eta = math.log(eta)
+    return (alpha - rho) * log_eta + math.log1p(math.exp(-2 * alpha * log_eta))
+
+
+def log_xi(w):
+    return math.log(2.0) + math.log1p(-w) - math.log(w)
+
+
+# w down to 1e-300 and theta up to 1 - 1e-16, where G overflows
+WS = st.one_of(st.sampled_from((1e-300, 1e-12, 0.5, 1 - 1e-12, 1 - 1e-16)),
+               st.floats(1e-300, 1.0, exclude_max=True))
+THETAS = st.one_of(st.sampled_from((0.5 + 1e-13, 0.9999, 1 - 1e-12, 1 - 1e-16)),
+                   st.floats(0.5, 1 - 1e-16, exclude_min=True))
 
 
 def test_classify():
@@ -237,6 +256,30 @@ def test_optimal_rule_matches_pointwise_goodness():
                 for T in oracles.ordered_tables(n):
                     want = int(is_good(table_class(T), w, th))
                     assert rule.decides(T) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(1, 100, 2)), WS, THETAS)
+@example(99, 0.5, 0.9999)  # G of (0, 99) overflows
+@example(99, 1e-300, 1 - 1e-16)
+def test_optimal_rule_is_the_union_of_the_good_classes(n, w, theta):
+    rule = optimal_rule(n, w, theta)
+    assert rule.positive_classes() == tuple(
+        c for c in enumerate_classes(n) if is_good(c, w, theta))
+    assert rule.is_class_constant()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-99, 99).flatmap(  # every class of some odd n <= 99
+           lambda r: st.integers(0, (99 - abs(r)) // 2).map(
+               lambda k: TableClass(r, 99 - abs(r) - 2 * k))),
+       WS, THETAS)
+def test_is_good_agrees_with_the_log_form(cls, w, theta):
+    eta = theta / (1.0 - theta)
+    g = g_eval(cls, eta)
+    # the log form is only as good as its rounding near the threshold
+    assume(math.isfinite(g) and abs(g - xi(w)) > 1e-12 * xi(w))
+    assert is_good(cls, w, theta) == (log_g(cls, eta) < log_xi(w))
 
 
 def test_optimal_rule_validation():

@@ -12,9 +12,13 @@ from dilemma import (
     TableClass,
     VoteTable,
     build_poset,
+    class_members,
     classical_rule,
     empty_rule,
+    enumerate_classes,
+    table_class,
 )
+from dilemma.rules import CLASS_GROUPS_CACHE_SIZE, _class_groups
 
 
 def as_pairs(covers):
@@ -76,6 +80,15 @@ def test_classical_rule_unknown_kind():
         classical_rule("majority", 3)
 
 
+def test_classical_rules_are_built_once_per_size():
+    assert classical_rule("pb", 5) is classical_rule("pb", 5)
+    assert classical_rule("pb", 1) is not classical_rule("hb", 1)
+    # a cached n = 1 must not answer for True, which hashes like 1
+    for n in (True, 1.0):
+        with pytest.raises(InvalidParameterError, match="committee size"):
+            classical_rule("pb", n)
+
+
 def test_from_tables_canonicalizes_and_finds_antichain():
     rule = DecisionRule.from_tables(3, [(1, 0, 2, 0), (1, 1, 1, 0), (2, 1, 0, 0),
                                         (2, 0, 0, 1), (3, 0, 0, 0)])
@@ -99,6 +112,23 @@ def test_from_classes_matches_member_union():
                                          TableClass(3, 0)])
     assert rule.positives == classical_rule("pb", 3).positives
     assert rule.is_class_constant()
+
+
+@pytest.mark.parametrize("n", [*range(1, 42, 2), 99])
+def test_class_groups_match_the_class_members(n):
+    po = build_poset(n, "extended")
+    groups = _class_groups(n)
+    assert set(groups.members) == set(enumerate_classes(n))
+    for c, idxs in groups.members.items():
+        assert idxs == tuple(sorted(po.index[T] for T in class_members(c, n)))
+    assert groups.of_node == tuple(table_class(T) for T in po.nodes)
+
+
+def test_class_groups_stay_within_the_cache_bound():
+    for n in range(1, 2 * CLASS_GROUPS_CACHE_SIZE + 6, 2):
+        DecisionRule.from_classes(n, [(n, 0)])
+    assert _class_groups.cache_info().currsize <= CLASS_GROUPS_CACHE_SIZE
+    assert _class_groups.cache_info().maxsize == CLASS_GROUPS_CACHE_SIZE
 
 
 def test_from_predicate():
