@@ -25,8 +25,8 @@ which classes leave the optimal rule as competence grows.
 
 optimal_rule validates (n, w, theta) once, computes eta and the
 threshold xi = 2 * (1 - w) / w once, and then makes one pass over the
-classes with the same float operations as is_good; the rule is the
-union of the good classes' node indices.
+classes of the cached node layout with the same float operations as
+is_good; the rule is the union of the good classes' node indices.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from .errors import InvalidParameterError, StructuralError
 from .rules import DecisionRule
-from .tables import (TableClass, enumerate_classes, table_class, validate_class,
+from .tables import (TableClass, _as_float, _layout, table_class, validate_class,
                      validate_n, validate_theta, validate_w)
 
 # |G(eta_star) - xi| below this band is reported as a degenerate
@@ -84,7 +84,7 @@ def _g(rho: int, alpha: int, eta: float) -> float:
 
 def g_eval(cls_or_table, eta) -> float:
     c = _as_class(cls_or_table)
-    eta = float(eta)
+    eta = _as_float(eta, "eta")
     if eta <= 1.0:
         raise InvalidParameterError(f"eta must exceed 1, got {eta}")
     return _g(c.rho, c.alpha, eta)
@@ -208,7 +208,7 @@ def optimal_rule(n: int, w, theta) -> DecisionRule:
     # the goodness test of is_good, with eta and xi computed once
     eta = theta / (1.0 - theta)
     xi = _xi(w)
-    good = [c for c in enumerate_classes(n) if _g(c.rho, c.alpha, eta) < xi]
+    good = [c for c in _layout(n).groups if _g(c.rho, c.alpha, eta) < xi]
     rule = DecisionRule.from_classes(n, good)
     if not rule.admissible:
         raise StructuralError(f"good classes at n = {n} do not form an upper set")

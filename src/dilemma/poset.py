@@ -9,7 +9,9 @@ canonical table (x, y, z, t),
 
 are fixed steps of 1, b, b*b - b and b*b - 1 on the cell (x*b + y)*b + z
 of the flat (x, y, z) cube, b = n + 1, where a table and its transpose
-name one node.  The margin rho = x - t is a rank: every cover raises it
+name one node.  Nodes and cells come from the node layout of
+``dilemma.tables``, so the poset, the laws and the rules share one node
+order.  The margin rho = x - t is a rank: every cover raises it
 by one.  Three poset modes exist:
 
 * ``extended``: canonical tables under the shift order.
@@ -40,7 +42,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidParameterError, StructuralError
-from .tables import enumerate_classes, enumerate_tables, validate_n
+from .tables import _layout, enumerate_classes, validate_n
 
 MODES = ("extended", "quotient", "optimality_reduced")
 
@@ -167,16 +169,14 @@ class Poset:
         yield from extend((), 0, 0)
 
 
-def _extended_up(n, tables):
-    b = n + 1
+def _extended_up(layout):
+    b = layout.n + 1
     bb = b * b
-    at = {}
+    at = dict(zip(layout.cells, range(len(layout.cells))))
     up = []
-    for i, (x, y, z, t) in enumerate(tables):
-        c = (x * b + y) * b + z
-        at[c] = at[(x * b + z) * b + y] = i
-        # covers are earlier nodes, already in ``at``, and z->x, y->x, t->y,
-        # t->z rise in index; at y == z, y->x and t->z repeat z->x and t->y
+    for (x, y, z, t), c in zip(layout.tables, layout.cells):
+        # z->x, y->x, t->y, t->z lead to canonical tables and rise in
+        # index; at y == z, y->x and t->z repeat z->x and t->y
         js = [at[c + bb - 1]] if z else []
         if y > z:
             js.append(at[c + bb - b])
@@ -211,8 +211,8 @@ def build_poset(n: int, mode: str = "extended") -> Poset:
 @lru_cache(maxsize=None)
 def _build_poset(n: int, mode: str) -> Poset:
     if mode == "extended":
-        nodes = enumerate_tables(n)
-        return Poset(n, mode, nodes, _extended_up(n, nodes))
+        layout = _layout(n)
+        return Poset(n, mode, layout.tables, _extended_up(layout))
     nodes = enumerate_classes(n)
     return Poset(n, mode, nodes, _class_up(n, mode, nodes))
 

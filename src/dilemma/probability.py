@@ -12,7 +12,8 @@ is the mass a symmetric rule puts on the node.  For a homogeneous
 committee each entry is the multinomial count times theta**a *
 (1-theta)**b, with the counts computed once per n as exact integers
 converted late; per-voter competences are convolved ballot by ballot
-over a numpy (x, y, z) cube.  Laws live in a bounded LRU cache
+over a numpy (x, y, z) cube and read off at the cells of the shared
+node layout (``dilemma.tables``).  Laws live in a bounded LRU cache
 (LAW_CACHE_SIZE entries), so a theta sweep or a long stream of
 committees keeps memory flat.  ``table_law`` is an ordered-table dict
 view of the same numbers for tests and oracles.
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .rules import DecisionRule
-from .tables import (enumerate_tables, ordered_tables, validate_n, validate_table,
+from .tables import (_layout, ordered_tables, validate_n, validate_table,
                      validate_theta, validate_w)
 
 
@@ -85,12 +86,15 @@ Profile = Homogeneous | PerVoter
 
 
 def as_profile(theta) -> Profile:
-    """Float -> Homogeneous; sequence -> PerVoter (singleton -> Homogeneous)."""
+    """Sequence -> PerVoter (singleton -> Homogeneous); else Homogeneous."""
     if isinstance(theta, (Homogeneous, PerVoter)):
         return theta
     if isinstance(theta, (int, float)):
         return Homogeneous(theta)
-    seq = tuple(theta)
+    try:
+        seq = tuple(theta)
+    except TypeError:
+        return Homogeneous(theta)
     if len(seq) == 1:
         return Homogeneous(seq[0])
     return PerVoter(seq)
@@ -166,21 +170,12 @@ class NodeLaw(NamedTuple):
     mass: tuple
 
 
-class _Layout(NamedTuple):
-    mults: list      # float(multinomial(T)) per node
-    exponents: dict  # state -> (canon, trans) lists of theta exponents
-    distinct: list   # y != z per node
-    cells: list      # flat (x, y, z) cell of T, and of its transpose,
-    cells_t: list    # in the (n+1)**3 cube of the per-voter convolution
-
-
 @lru_cache(maxsize=4)
-def _layout(n: int) -> _Layout:
+def _terms(n: int):
+    """float(multinomial(T)) per node; state -> (canon, trans) theta exponents."""
     comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
-    side = n + 1
-    mults, e_pq, e_y, e_z, e_npnq, distinct, cells, cells_t = \
-        [], [], [], [], [], [], [], []
-    for x, y, z, t in enumerate_tables(n):
+    mults, e_pq, e_y, e_z, e_npnq = [], [], [], [], []
+    for x, y, z, t in _layout(n).tables:
         mults.append(float(comb[n][x] * comb[n - x][y] * comb[n - x - y][z]))
         # exponent of theta in the product law; 1 - theta takes the
         # rest of the 2n premiss judgments
@@ -188,23 +183,22 @@ def _layout(n: int) -> _Layout:
         e_y.append(x + 2 * y + t)
         e_z.append(x + 2 * z + t)
         e_npnq.append(y + z + 2 * t)
-        distinct.append(y != z)
-        cells.append((x * side + y) * side + z)
-        cells_t.append((x * side + z) * side + y)
     exponents = {State.PQ: (e_pq, e_pq), State.PnQ: (e_y, e_z),
                  State.nPQ: (e_z, e_y), State.nPnQ: (e_npnq, e_npnq)}
-    return _Layout(mults, exponents, distinct, cells, cells_t)
+    return mults, exponents
 
 
 def _homogeneous_law(n: int, state: State, th: float):
+    mults, exponents = _terms(n)
+    e_canon, e_trans = exponents[state]
     lay = _layout(n)
-    e_canon, e_trans = lay.exponents[state]
-    # same operations, in the same order, as multinomial * th**a * (1-th)**b
+    # same operations, in the same order, as multinomial * th**a * (1-th)**b;
+    # a table is its own transpose exactly when its two cells agree
     pa = [th**k for k in range(2 * n + 1)]
     pb = [(1.0 - th) ** (2 * n - k) for k in range(2 * n + 1)]
-    canon = [m * pa[a] * pb[a] for m, a in zip(lay.mults, e_canon)]
-    trans = [m * pa[a] * pb[a] if d else 0.0
-             for m, a, d in zip(lay.mults, e_trans, lay.distinct)]
+    canon = [m * pa[a] * pb[a] for m, a in zip(mults, e_canon)]
+    trans = [m * pa[a] * pb[a] if c != ct else 0.0
+             for m, a, c, ct in zip(mults, e_trans, lay.cells, lay.cells_t)]
     return canon, trans
 
 
@@ -228,8 +222,9 @@ def _per_voter_law(n: int, state: State, thetas: tuple):
         law = new
     lay = _layout(n)
     flat = law.ravel()
-    trans = np.where(lay.distinct, flat[lay.cells_t], 0.0)
-    return flat[lay.cells].tolist(), trans.tolist()
+    cells, cells_t = np.array(lay.cells), np.array(lay.cells_t)
+    trans = np.where(cells != cells_t, flat[cells_t], 0.0)
+    return flat[cells].tolist(), trans.tolist()
 
 
 def _law_key(n: int, state, profile):
@@ -262,7 +257,7 @@ def node_law(n: int, state, profile) -> NodeLaw:
 def _table_law(n: int, state: State, key) -> dict:
     law = _node_law(n, state, key)
     probs = {}
-    for T, c, t in zip(enumerate_tables(n), law.canon, law.trans):
+    for T, c, t in zip(_layout(n).tables, law.canon, law.trans):
         probs[T] = c
         if T.y != T.z:
             probs[T.transpose()] = t

@@ -7,9 +7,8 @@ quotient).  Their number grows steeply with n, so ranking is refused
 above n = 5 (extended) or n = 9 (compact) unless force is set.
 
 The upper sets do not depend on the profile or on w.  For each (n,
-mode) they are listed once, as ascending tuples of node indices (plus,
-in compact mode, the extended node indices of each class), in a table
-kept in an LRU cache of TABLE_CACHE_SIZE entries; the first query of
+mode) they are listed once, as ascending tuples of node indices, in a
+table kept in an LRU cache of TABLE_CACHE_SIZE entries; the first query of
 an (n, mode) builds it from the antichain stream.  A query then costs
 the profile's two node laws and one pass over the table (768 rows at
 n = 5 extended, 1,024 at n = 9 compact): each row's false positive and
@@ -31,15 +30,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .optimal import classical_rule
 from .poset import build_poset
 from .probability import (Homogeneous, PerVoter, RuleEvaluation, State,
                           as_profile, loss, node_law, profile_thetas)
-from .rules import DecisionRule, _class_groups
-from .tables import validate_n, validate_w
+from .rules import DecisionRule
+from .tables import _layout, validate_n, validate_w
 
 MODES = ("extended", "compact")
 _POSET_MODE = {"extended": "extended", "compact": "quotient"}
@@ -85,13 +83,9 @@ def evaluate_rule(rule: DecisionRule, w, profile) -> RankedRule:
 TABLE_CACHE_SIZE = 4
 
 
-class _Table(NamedTuple):
-    rows: tuple     # ascending node indices of each upper set, by bitset
-    members: tuple  # compact mode: extended node indices of each class
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _table(n: int, mode: str) -> _Table:
+def _table(n: int, mode: str) -> tuple:
+    """Ascending node indices of each upper set, in bitset order."""
     po = build_poset(n, _POSET_MODE[mode])
     N = len(po.nodes)
     # bit N-1-i stands for node i, so ascending masks are in bitset order
@@ -107,13 +101,8 @@ def _table(n: int, mode: str) -> _Table:
         masks.append(mask)
     masks.sort()
     digits = f"0{N}b"
-    rows = tuple(tuple(i for i, bit in enumerate(format(mask, digits)) if bit == "1")
+    return tuple(tuple(i for i, bit in enumerate(format(mask, digits)) if bit == "1")
                  for mask in masks)
-    members = ()
-    if mode == "compact":
-        groups = _class_groups(n).members
-        members = tuple(groups[c] for c in po.nodes)
-    return _Table(rows, members)
 
 
 def _scored(rows, fp_c, fn_c, w):
@@ -150,17 +139,20 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
     profile = as_profile(request.profile)
     profile_thetas(profile, n)  # length check up front
 
-    table = _table(n, request.mode)
+    rows = _table(n, request.mode)
     law_fp = node_law(n, State.PnQ, profile)
     law_fn = node_law(n, State.PQ, profile)
 
     if request.mode == "extended":
         fp_c, fn_c = law_fp.mass, law_fn.mass
     else:
+        # extended node indices of each class, in the quotient's node order
+        members = tuple(_layout(n).groups.values())
+
         # class weights add each member's two tables in turn, in node order
         def class_mass(law):
             out = []
-            for idxs in table.members:
+            for idxs in members:
                 total = 0.0
                 for j in idxs:
                     total += law.canon[j]
@@ -169,19 +161,19 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
             return out
 
         fp_c, fn_c = class_mass(law_fp), class_mass(law_fn)
-    best = heapq.nsmallest(request.k, _scored(table.rows, fp_c, fn_c, w))
+    best = heapq.nsmallest(request.k, _scored(rows, fp_c, fn_c, w))
 
     classical = _classical_indices(n)
     po = build_poset(n, _POSET_MODE[request.mode])
     ranked = []
     for rank, (_, _, r) in enumerate(best, start=1):
-        row = table.rows[r]
+        row = rows[r]
         if request.mode == "extended":
             rule = DecisionRule._of(n, frozenset(row))
             ac = rule.antichain
         else:
             ac = po.minimal_elements([po.nodes[c] for c in row])
-            rule = DecisionRule._of(n, frozenset(j for c in row for j in table.members[c]))
+            rule = DecisionRule._of(n, frozenset(j for c in row for j in members[c]))
         ranked.append(RankedRule(rank, ac, _classical_name(rule, classical), rule,
                                  loss(rule, w, profile)))
     return ranked

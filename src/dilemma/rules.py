@@ -11,53 +11,22 @@ flips a yes back to a no.  Admissible rules are exactly the upper sets
 of the extended poset and are encoded compactly by their antichain of
 minimal positive tables.
 
-The classes (rho, alpha) of the nodes are read off one cached
-grouping per committee size (an LRU cache of CLASS_GROUPS_CACHE_SIZE
-entries): each class's ascending node indices, and each node's class.
-``from_classes`` takes the union of the groups, ``is_class_constant``
-tests each group's indices, and ``positive_classes`` reads the class of
-each accepted node.
+The classes (rho, alpha) of the nodes are read off the class grouping
+of the shared node layout (``dilemma.tables``): the classes in
+descending (rho, alpha), each with its ascending node indices.
+``from_classes`` takes the union of the groups, ``positive_classes``
+keeps the classes whose groups meet the accepted indices, and
+``is_class_constant`` tests that each of those groups is accepted whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property
 
 from .errors import InvalidParameterError
 from .poset import build_poset
-from .tables import (TableClass, canonical, class_sort_key, validate_class,
-                     validate_n)
-
-CLASS_GROUPS_CACHE_SIZE = 4
-
-
-class _ClassGroups(NamedTuple):
-    members: dict   # class -> its ascending extended node indices
-    of_node: tuple  # extended node index -> its class
-
-
-@lru_cache(maxsize=CLASS_GROUPS_CACHE_SIZE)
-def _class_groups(n: int) -> _ClassGroups:
-    # walks the nodes in the order enumerate_tables makes them: at margin
-    # rho and x voters for both premisses, y + z = s and y runs down to
-    # the canonical bound, so alpha = y - z runs s, s - 2, ... down to 0 or 1
-    members = {}
-    of_node = []
-    for rho in range(n, -n - 1, -1):
-        at_rho = {}
-        for x in range((n + rho) // 2, max(rho, 0) - 1, -1):
-            s = n + rho - 2 * x
-            for alpha in range(s, -1, -2):
-                group = at_rho.get(alpha)
-                if group is None:
-                    group = at_rho[alpha] = (TableClass(rho, alpha), [])
-                group[1].append(len(of_node))
-                of_node.append(group[0])
-        for c, idxs in at_rho.values():
-            members[c] = tuple(idxs)
-    return _ClassGroups(members, tuple(of_node))
+from .tables import _layout, canonical, validate_class, validate_n
 
 
 @dataclass(frozen=True)
@@ -92,8 +61,8 @@ class DecisionRule:
 
     @classmethod
     def from_classes(cls, n: int, classes) -> "DecisionRule":
-        members = _class_groups(validate_n(n)).members
-        return cls._of(n, frozenset(i for c in classes for i in members[validate_class(c, n)]))
+        groups = _layout(validate_n(n)).groups
+        return cls._of(n, frozenset(i for c in classes for i in groups[validate_class(c, n)]))
 
     @classmethod
     def from_predicate(cls, n: int, predicate) -> "DecisionRule":
@@ -119,13 +88,14 @@ class DecisionRule:
 
     @cached_property
     def _classes(self) -> tuple:
-        of_node = _class_groups(self.n).of_node
-        return tuple(sorted({of_node[i] for i in self.indices}, key=class_sort_key))
+        idxs = self.indices
+        return tuple(c for c, group in _layout(self.n).groups.items()
+                     if not idxs.isdisjoint(group))
 
     def is_class_constant(self) -> bool:
         """True when the verdict depends on the table only through its class."""
-        members = _class_groups(self.n).members
-        return all(i in self.indices for c in self.positive_classes() for i in members[c])
+        groups = _layout(self.n).groups
+        return all(self.indices.issuperset(groups[c]) for c in self.positive_classes())
 
     def __repr__(self):
         tag = "admissible" if self.admissible else "inadmissible"

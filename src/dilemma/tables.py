@@ -11,6 +11,12 @@ Tables carry two coordinates that drive everything downstream: the
 margin rho = x - t and the imbalance alpha = |y - z|.  Tables sharing
 (rho, alpha) form a class; for odd n, rho + alpha is always odd.
 
+One node layout per committee size, from one walk over (rho, x, y) and
+kept in an LRU cache of 4 entries, is the index every module reads: the
+canonical tables in node order, the flat (x, y, z) cube cell of each and
+of its transpose, and the first node of each (rho, x) run, from which
+the class grouping is derived on first use only.
+
 The validators of the scalar parameters (committee size n, loss
 weight w, competence theta) live here too, one per parameter.
 """
@@ -18,6 +24,7 @@ weight w, competence theta) live here too, one per parameter.
 from __future__ import annotations
 
 import math
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError
@@ -65,9 +72,17 @@ def validate_n(n) -> int:
     return n
 
 
+def _as_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"{what} must be a real number, got {value!r}") from None
+
+
 def validate_w(w) -> float:
     """Loss weight: the share w of the loss put on false positives."""
-    w = float(w)
+    w = _as_float(w, "loss weight w")
     if not 0.0 < w < 1.0:
         raise InvalidParameterError(f"loss weight w must lie in (0, 1), got {w}")
     return w
@@ -76,7 +91,7 @@ def validate_w(w) -> float:
 def validate_theta(theta, *, goodness: bool = False) -> float:
     """Competence: (0, 1) in the probability model, (1/2, 1) for the
     goodness test, whose odds eta = theta / (1 - theta) must exceed 1."""
-    theta = float(theta)
+    theta = _as_float(theta, "competence")
     low, domain = (0.5, "(1/2, 1) here") if goodness else (0.0, "(0, 1)")
     if not low < theta < 1.0:
         raise InvalidParameterError(f"competence must lie in {domain}, got {theta}")
@@ -132,7 +147,7 @@ def table_class(table) -> TableClass:
 
 
 def node_sort_key(table: VoteTable):
-    """Descending (rho, x, y); fixes node indices everywhere."""
+    """Descending (rho, x, y), the node order."""
     return (-table.rho, -table.x, -table.y)
 
 
@@ -151,33 +166,60 @@ def class_count(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def enumerate_tables(n: int) -> list[VoteTable]:
-    """All canonical tables, sorted by descending (rho, x, y).
+class _Layout:
+    """Tables in node order; cells (x*b + y)*b + z, b = n + 1, of each
+    and of its transpose; the first node of each (rho, x) run."""
 
-    Generated in that order: at margin rho a table with x voters for
-    both premisses has t = x - rho and y + z = n - x - t, and y runs
-    down to the canonical bound y >= z.
-    """
-    validate_n(n)
-    out = []
-    for rho in range(n, -n - 1, -1):
-        for x in range((n + rho) // 2, max(rho, 0) - 1, -1):
-            t = x - rho
-            s = n - x - t
-            for y in range(s, (s - 1) // 2, -1):
-                out.append(VoteTable(x, y, s - y, t))
-    return out
+    def __init__(self, n: int):
+        # at margin rho a table with x voters for both premisses has
+        # t = x - rho, y + z = s = n - x - t, and y runs down to y >= z;
+        # along the run the cell steps by 1 - b and the transposed cell by b - 1
+        b = n + 1
+        tables = []
+        self.cells, self.cells_t, self.starts = cells, cells_t, starts = [], [], []
+        for rho in range(n, -n - 1, -1):
+            runs = []
+            for x in range((n + rho) // 2, max(rho, 0) - 1, -1):
+                runs.append(len(tables))
+                t = x - rho
+                s = n - x - t
+                ys = range(s, (s - 1) // 2, -1)
+                c = (x * b + s) * b  # cell of y = s, z = 0
+                cells.extend(range(c, c - len(ys) * (b - 1), 1 - b))
+                c = x * b * b + s    # its transpose
+                cells_t.extend(range(c, c + len(ys) * (b - 1), b - 1))
+                for y in ys:
+                    tables.append(VoteTable(x, y, s - y, t))
+            starts.append(runs)
+        self.n, self.tables = n, tuple(tables)
+
+    @cached_property
+    def groups(self) -> dict:
+        """Class -> its ascending node indices, in descending (rho, alpha).
+
+        Run j holds alpha = s, s - 2, ... with s = 2j + alpha % 2, so the
+        k-th member is start + (s - alpha)//2 = starts[alpha//2 + k] + k.
+        """
+        n = self.n
+        out = {}
+        for rho, runs in zip(range(n, -n - 1, -1), self.starts):
+            for alpha in range(n - abs(rho), -1, -2):
+                out[TableClass(rho, alpha)] = tuple(
+                    start + k for k, start in enumerate(runs[alpha // 2:]))
+        return out
+
+
+_layout = lru_cache(maxsize=4)(_Layout)
+
+
+def enumerate_tables(n: int) -> list[VoteTable]:
+    """All canonical tables, sorted by descending (rho, x, y)."""
+    return list(_layout(validate_n(n)).tables)
 
 
 def enumerate_classes(n: int) -> list[TableClass]:
     """All classes (rho, alpha) occurring at size n, descending (rho, alpha)."""
-    validate_n(n)
-    out = [TableClass(rho, alpha)
-           for rho in range(-n, n + 1)
-           for alpha in range(n + 1)
-           if (rho + alpha) % 2 == 1 and abs(rho) + alpha <= n]
-    out.sort(key=class_sort_key)
-    return out
+    return list(_layout(validate_n(n)).groups)
 
 
 def class_members(cls, n: int) -> list[VoteTable]:

@@ -10,7 +10,9 @@ ties, would depend on the interpreter; float totals use ``math.fsum``
 or an explicit loop.
 
 Importing the command line module builds no argument parser: the
-first ``run`` does.
+first ``run`` does.  Importing the package builds no node layout, and
+building the extended poset leaves the layout's class grouping unbuilt:
+only a caller that reads classes pays for it.
 """
 
 import ast
@@ -67,6 +69,13 @@ def test_no_builtin_sum_in_float_code(path):
     assert builtin_sum_lines((PACKAGE / path).read_text()) == []
 
 
+def run_fresh(code: str) -> str:
+    """The last word code prints when run in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    return out.stdout.split()[-1]
+
+
 def parsers_built(code: str) -> int:
     """ArgumentParser instances made by running code in a fresh process."""
     counted = ("import argparse\n"
@@ -77,9 +86,7 @@ def parsers_built(code: str) -> int:
                "    init(self, *args, **kwargs)\n"
                "argparse.ArgumentParser.__init__ = counting\n"
                + code + "print(len(built))\n")
-    out = subprocess.run([sys.executable, "-c", counted], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
-    return int(out.stdout.split()[-1])
+    return int(run_fresh(counted))
 
 
 def test_importing_the_cli_builds_no_parser():
@@ -89,3 +96,37 @@ def test_importing_the_cli_builds_no_parser():
 def test_the_check_sees_a_parser_built():
     assert parsers_built("import dilemma.cli\n"
                          "dilemma.cli.run(['count', '--n', '1'])\n") > 0
+
+
+def layouts_built(code: str) -> int:
+    """Node layouts built by running code in a fresh process."""
+    return int(run_fresh("from dilemma.tables import _layout\n" + code +
+                         "print(_layout.cache_info().misses)\n"))
+
+
+def class_grouping_built(code: str, n: int) -> bool:
+    """Whether the size-n layout holds its class grouping after code, in a
+    fresh process; the code must have built that layout already."""
+    return run_fresh("from dilemma.tables import _layout\n" + code +
+                     "misses = _layout.cache_info().misses\n"
+                     f"layout = _layout({n})\n"
+                     "assert _layout.cache_info().misses == misses\n"
+                     "print('groups' in vars(layout))\n") == "True"
+
+
+def test_importing_the_package_builds_no_layout():
+    assert layouts_built("import dilemma, dilemma.cli\n") == 0
+
+
+def test_the_check_sees_a_layout_built():
+    assert layouts_built("import dilemma\ndilemma.enumerate_tables(3)\n") == 1
+
+
+def test_the_extended_poset_leaves_the_class_grouping_unbuilt():
+    assert not class_grouping_built("import dilemma\n"
+                                    "dilemma.build_poset(9, 'extended')\n", 9)
+
+
+def test_the_check_sees_a_class_grouping_built():
+    assert class_grouping_built("import dilemma\n"
+                                "dilemma.build_poset(9, 'quotient')\n", 9)

@@ -88,6 +88,10 @@ def test_g_eval():
         g_eval((1, 2), 1.0)
     with pytest.raises(InvalidParameterError):
         g_eval((1, 2), 0.9)
+    for bad in (None, "e", 2j, [2.0]):
+        with pytest.raises(InvalidParameterError, match="eta must be a real number"):
+            g_eval((1, 2), bad)
+    assert g_eval((1, 0), "2") == 1.0
 
 
 def test_g_starts_at_two_with_slope_minus_two_rho():
@@ -156,6 +160,27 @@ def test_each_parameter_has_one_validator_and_one_message():
     assert message(is_good, (1, 0), 0.5, 0.5) == goodness.format(0.5)
     assert message(pb_optimal_sufficient, 0.5, 1.0) == goodness.format(1.0)
     assert Homogeneous(0.4).theta == 0.4
+
+
+def test_non_numeric_w_and_theta_raise_the_validator_error():
+    def message(call, *args):
+        with pytest.raises(InvalidParameterError) as exc:
+            call(*args)
+        return str(exc.value)
+
+    hb = classical_rule("hb", 3)
+    w_msg = "loss weight w must be a real number, got {!r}"
+    theta_msg = "competence must be a real number, got {!r}"
+    assert message(optimal_rule, 3, None, 0.7) == w_msg.format(None)
+    assert message(loss, hb, "x", 0.7) == w_msg.format("x")
+    assert message(rank_rules, RankingRequest(3, 1j, 0.7)) == w_msg.format(1j)
+    assert message(loss, hb, 0.5, "x") == theta_msg.format("x")
+    assert message(loss, hb, 0.5, None) == theta_msg.format(None)
+    assert message(is_good, (1, 0), 0.5, 0.7j) == theta_msg.format(0.7j)
+    assert message(single_vote_law, "PQ", None) == theta_msg.format(None)
+    # strings that parse as floats stay accepted
+    assert optimal_rule(3, "0.5", "0.7") == optimal_rule(3, 0.5, 0.7)
+    assert is_good((1, 0), "0.5", "0.7")
 
 
 def test_goodness_intervals_type_a():

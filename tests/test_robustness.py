@@ -5,8 +5,8 @@ Inside the domain (odd n <= 99, w in (0, 1), theta in (0, 1), or
 exception is InvalidParameterError, and the CLI exits 2 with nothing on
 stdout.  Each example draws in-domain values, edges included (the
 denormal and near-1 ends of w and theta), and then spoils at most one
-parameter with an out-of-domain value: nan, an infinity, a bound, or a
-count that is not an int.
+parameter with an out-of-domain value: nan, an infinity, a bound, a
+value that is not a number, or a count that is not an int.
 """
 
 import io
@@ -35,8 +35,10 @@ GOOD = {
 }
 BAD = {
     "n": st.sampled_from((-1, 0, 2, 101, True, 3.0, "3")),
-    "w": st.sampled_from((0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf)),
-    "theta": st.sampled_from((0.0, 0.5, 1.0, math.nan, math.inf, -math.inf)),
+    "w": st.sampled_from((0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf,
+                          None, "x", 1j)),
+    "theta": st.sampled_from((0.0, 0.5, 1.0, math.nan, math.inf, -math.inf,
+                              None, "x", 1j)),
     "cls": st.sampled_from(((1, 1), (0, -1), (3, 100), (1.0, 0), (1,), "ab")),
     "k": st.sampled_from((-1, 0, 2.5, True, "2")),
 }
@@ -47,6 +49,12 @@ def spoiled(draw, good, bad):
     """One value per parameter, at most one of them out of its domain."""
     spoil = draw(st.sampled_from((None,) + tuple(bad)))
     return {key: draw((bad if key == spoil else good)[key]) for key in good}
+
+
+def _prior(w):
+    """A prior with w on PnQ; no arithmetic on a w that is not a float."""
+    rest = (1.0 - w) / 2 if isinstance(w, float) else 0.5
+    return NegativePrior(w, rest, rest)
 
 
 LIBRARY_CALLS = {
@@ -61,9 +69,8 @@ LIBRARY_CALLS = {
     "rank_rules": lambda p: rank_rules(RankingRequest(p["n"], p["w"], p["theta"],
                                                       k=p["k"])),
     "pb_region": lambda p: list(pb_region(p["n"], p["k"])),
-    "rule_fp_bayes": lambda p: rule_fp_bayes(
-        classical_rule("pb", 3), p["theta"],
-        NegativePrior(p["w"], (1.0 - p["w"]) / 2, (1.0 - p["w"]) / 2)),
+    "rule_fp_bayes": lambda p: rule_fp_bayes(classical_rule("pb", 3), p["theta"],
+                                             _prior(p["w"])),
 }
 
 

@@ -18,7 +18,7 @@ from dilemma import (
     enumerate_classes,
     table_class,
 )
-from dilemma.rules import CLASS_GROUPS_CACHE_SIZE, _class_groups
+from dilemma.tables import _layout
 
 
 def as_pairs(covers):
@@ -116,19 +116,30 @@ def test_from_classes_matches_member_union():
 
 @pytest.mark.parametrize("n", [*range(1, 42, 2), 99])
 def test_class_groups_match_the_class_members(n):
+    layout = _layout(n)
     po = build_poset(n, "extended")
-    groups = _class_groups(n)
-    assert set(groups.members) == set(enumerate_classes(n))
-    for c, idxs in groups.members.items():
+    assert po.nodes == layout.tables
+    oracle = {}
+    for i, (x, y, z, t) in enumerate(oracles.canonical_tables(n)):
+        oracle.setdefault((x - t, y - z), []).append(i)
+    groups = layout.groups
+    assert list(groups) == list(enumerate_classes(n))
+    assert {tuple(c): list(idxs) for c, idxs in groups.items()} == oracle
+    for c, idxs in groups.items():
         assert idxs == tuple(sorted(po.index[T] for T in class_members(c, n)))
-    assert groups.of_node == tuple(table_class(T) for T in po.nodes)
+        assert all(table_class(po.nodes[i]) == c for i in idxs)
+    # each cell decodes to its table, each transposed cell to the transpose
+    b = n + 1
+    for T, c, ct in zip(layout.tables, layout.cells, layout.cells_t):
+        assert (c // (b * b), c // b % b, c % b) == T[:3]
+        assert (ct // (b * b), ct // b % b, ct % b) == T.transpose()[:3]
 
 
 def test_class_groups_stay_within_the_cache_bound():
-    for n in range(1, 2 * CLASS_GROUPS_CACHE_SIZE + 6, 2):
+    for n in range(1, 2 * 4 + 6, 2):
         DecisionRule.from_classes(n, [(n, 0)])
-    assert _class_groups.cache_info().currsize <= CLASS_GROUPS_CACHE_SIZE
-    assert _class_groups.cache_info().maxsize == CLASS_GROUPS_CACHE_SIZE
+    assert _layout.cache_info().currsize <= 4
+    assert _layout.cache_info().maxsize == 4
 
 
 def test_from_predicate():

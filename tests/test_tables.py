@@ -48,8 +48,12 @@ def test_class_count_closed_form():
         assert class_count(n) == len(oracles.classes(n))
 
 
+# every odd size up to 41, plus the largest
+SIZES = (*range(1, 42, 2), 99)
+
+
 def test_enumerate_tables_matches_brute_force():
-    for n in (1, 3, 5, 7, 21):
+    for n in SIZES:
         tabs = enumerate_tables(n)
         assert [tuple(T) for T in tabs] == oracles.canonical_tables(n)
         assert len(tabs) == len(set(tabs)) == table_count(n)
@@ -64,13 +68,21 @@ def test_enumerate_tables_order():
 
 
 def test_enumerate_classes():
-    for n in (1, 3, 5, 7):
+    for n in SIZES:
         cls = enumerate_classes(n)
         assert [tuple(c) for c in cls] == oracles.classes(n)
         keys = [class_sort_key(c) for c in cls]
         assert keys == sorted(keys)
     assert tuple(enumerate_classes(3)[0]) == (3, 0)
     assert tuple(enumerate_classes(3)[-1]) == (-3, 0)
+
+
+def test_mutating_an_enumeration_leaves_the_cache_intact():
+    tabs, cls = enumerate_tables(3), enumerate_classes(3)
+    tabs.clear()
+    cls.reverse()
+    assert [tuple(T) for T in enumerate_tables(3)] == oracles.canonical_tables(3)
+    assert [tuple(c) for c in enumerate_classes(3)] == oracles.classes(3)
 
 
 def test_class_members_partition_tables():
