@@ -9,10 +9,10 @@ canonical table (x, y, z, t),
 
 are fixed steps of 1, b, b*b - b and b*b - 1 on the cell (x*b + y)*b + z
 of the flat (x, y, z) cube, b = n + 1, where a table and its transpose
-name one node.  Nodes and cells come from the node layout of
-``dilemma.tables``, so the poset, the laws and the rules share one node
-order.  The margin rho = x - t is a rank: every cover raises it
-by one.  Three poset modes exist:
+name one node.  The extended nodes and these covers belong to the node
+layout of ``dilemma.tables``, so the poset, the laws and the rules share
+one node order and one cover table.  The margin rho = x - t is a rank:
+every cover raises it by one.  Three poset modes exist:
 
 * ``extended``: canonical tables under the shift order.
 * ``quotient``: classes (rho, alpha) with covers (rho+1, alpha+-1);
@@ -24,13 +24,12 @@ by one.  Three poset modes exist:
 
 Upper sets of these posets are in bijection with monotone symmetric
 rules; the antichain of minimal elements is the compact encoding.
-Every order test looks only at covers: a set is an upper set when each
-upper cover of a member is a member, a member of an upper set is
-minimal when none of its lower covers is a member, and one upward
-search marks every node strictly above a set.  Each costs
-O(nodes + covers).
+Every order test is one upward search over the covers,
+``strictly_above``, which marks the nodes strictly above a set in
+O(nodes + covers): the set is an upper set when no mark falls outside
+it, and its unmarked members are its minimal elements.
 
-A ``Poset`` stores index adjacency only and derives ``covers`` from it.
+A ``Poset`` stores upper-cover indices only and derives ``covers`` from them.
 Posets are immutable after construction and safe to share across
 threads; the comparability bitmap, built on first use by the antichain
 stream (which is bounded to small n), is an idempotent cache.
@@ -55,12 +54,7 @@ class Poset:
         self.mode = mode
         self.nodes = tuple(nodes)
         self.index = {v: i for i, v in enumerate(self.nodes)}
-        self._up = tuple(map(tuple, up))
-        down = [[] for _ in self.nodes]
-        for i, js in enumerate(self._up):
-            for j in js:
-                down[j].append(i)
-        self._down = tuple(map(tuple, down))
+        self._up = tuple(up)
         self._comp = None
 
     @property
@@ -86,19 +80,8 @@ class Poset:
                 f"{node!r} is not a node of this {self.mode} poset") from None
 
     def strictly_above(self, idxs) -> set[int]:
-        """Indices of the nodes strictly above some node of ``idxs``.
-
-        One upward search over the covers from every index at once.
-        """
-        up = self._up
-        above = set()
-        stack = list(idxs)
-        while stack:
-            for j in up[stack.pop()]:
-                if j not in above:
-                    above.add(j)
-                    stack.append(j)
-        return above
+        """Indices of the nodes strictly above some node of ``idxs``."""
+        return strictly_above(self._up, idxs)
 
     def _leq_idx(self, a: int, b: int) -> bool:
         return a == b or b in self.strictly_above((a,))
@@ -142,10 +125,10 @@ class Poset:
     def minimal_elements(self, nodes) -> tuple:
         """Minimal elements of an upper set, in node order."""
         idxs = {self._idx(v) for v in nodes}
-        if any(j not in idxs for i in idxs for j in self._up[i]):
+        above = self.strictly_above(idxs)
+        if not above <= idxs:
             raise StructuralError("input node set is not an upper set")
-        return tuple(self.nodes[i] for i in sorted(idxs)
-                     if idxs.isdisjoint(self._down[i]))
+        return tuple(self.nodes[i] for i in sorted(idxs - above))
 
     def antichains(self) -> Iterator[tuple]:
         """Stream every antichain exactly once, elements in node order.
@@ -169,23 +152,16 @@ class Poset:
         yield from extend((), 0, 0)
 
 
-def _extended_up(layout):
-    b = layout.n + 1
-    bb = b * b
-    at = dict(zip(layout.cells, range(len(layout.cells))))
-    up = []
-    for (x, y, z, t), c in zip(layout.tables, layout.cells):
-        # z->x, y->x, t->y, t->z lead to canonical tables and rise in
-        # index; at y == z, y->x and t->z repeat z->x and t->y
-        js = [at[c + bb - 1]] if z else []
-        if y > z:
-            js.append(at[c + bb - b])
-        if t:
-            js.append(at[c + b])
-            if y > z:
-                js.append(at[c + 1])
-        up.append(js)
-    return up
+def strictly_above(up, idxs) -> set[int]:
+    """Indices strictly above some of ``idxs`` under the upper covers ``up``."""
+    above = set()
+    stack = list(idxs)
+    while stack:
+        for j in up[stack.pop()]:
+            if j not in above:
+                above.add(j)
+                stack.append(j)
+    return above
 
 
 def _class_up(n, mode, classes):
@@ -195,7 +171,7 @@ def _class_up(n, mode, classes):
         # the reduced order steps down to (rho, alpha-2) instead, except
         # at (n-1, 1), the only class at rho = n-1, which sits below (n, 0)
         second = (r + 1, a - 1) if mode == "quotient" or r == n - 1 else (r, a - 2)
-        up.append([index[d] for d in ((r + 1, a + 1), second) if d in index])
+        up.append(tuple(index[d] for d in ((r + 1, a + 1), second) if d in index))
     return up
 
 
@@ -208,11 +184,11 @@ def build_poset(n: int, mode: str = "extended") -> Poset:
     return _build_poset(n, mode)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=12)  # each mode at as many sizes as the layout cache holds
 def _build_poset(n: int, mode: str) -> Poset:
     if mode == "extended":
         layout = _layout(n)
-        return Poset(n, mode, layout.tables, _extended_up(layout))
+        return Poset(n, mode, layout.tables, layout.up)
     nodes = enumerate_classes(n)
     return Poset(n, mode, nodes, _class_up(n, mode, nodes))
 

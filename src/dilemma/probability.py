@@ -86,10 +86,10 @@ Profile = Homogeneous | PerVoter
 
 
 def as_profile(theta) -> Profile:
-    """Sequence -> PerVoter (singleton -> Homogeneous); else Homogeneous."""
+    """Sequence -> PerVoter (singleton -> Homogeneous); else, strings too, Homogeneous."""
     if isinstance(theta, (Homogeneous, PerVoter)):
         return theta
-    if isinstance(theta, (int, float)):
+    if isinstance(theta, (int, float, str)):
         return Homogeneous(theta)
     try:
         seq = tuple(theta)

@@ -2,21 +2,22 @@
 
 A rule maps each table of a fixed committee size to a conclusion
 verdict.  Rules here are always premiss-symmetric (they cannot tell y
-from z), so a rule is stored as the set of node indices of
-``build_poset(n, "extended")`` that it accepts; ``positives``, the
+from z), so a rule is stored as the set of node indices of the node
+layout (``dilemma.tables``) that it accepts; ``positives``, the
 canonical tables at those nodes, is a view derived from it.  A rule is
 admissible when its positive set is also upward closed in the single
 ballot shift order: shifting any voter toward the premisses never
 flips a yes back to a no.  Admissible rules are exactly the upper sets
-of the extended poset and are encoded compactly by their antichain of
-minimal positive tables.
+of the extended poset, encoded compactly by their antichain of minimal
+positive tables; one upward search over the layout's covers finds both,
+and only ``from_antichain`` builds the extended poset itself.
 
 The classes (rho, alpha) of the nodes are read off the class grouping
-of the shared node layout (``dilemma.tables``): the classes in
-descending (rho, alpha), each with its ascending node indices.
-``from_classes`` takes the union of the groups, ``positive_classes``
-keeps the classes whose groups meet the accepted indices, and
-``is_class_constant`` tests that each of those groups is accepted whole.
+of the same layout: the classes in descending (rho, alpha), each with
+its ascending node indices.  ``from_classes`` takes the union of the
+groups, ``positive_classes`` keeps the classes whose groups meet the
+accepted indices, and ``is_class_constant`` tests that each of those
+groups is accepted whole.
 """
 
 from __future__ import annotations
@@ -24,34 +25,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidParameterError
-from .poset import build_poset
+from .poset import build_poset, strictly_above
 from .tables import _layout, canonical, validate_class, validate_n
 
 
 @dataclass(frozen=True)
 class DecisionRule:
     n: int
-    indices: frozenset  # extended-poset node indices answered "yes"
+    indices: frozenset  # layout node indices answered "yes"
     antichain: tuple    # minimal positives, node order
     admissible: bool
 
     @classmethod
     def _of(cls, n: int, idxs: frozenset) -> "DecisionRule":
-        po = build_poset(n, "extended")
-        above = po.strictly_above(idxs)
-        minimal = tuple(po.nodes[i] for i in sorted(idxs) if i not in above)
+        layout = _layout(n)
+        above = strictly_above(layout.up, idxs)
+        minimal = tuple(layout.tables[i] for i in sorted(idxs) if i not in above)
         return cls(n, idxs, minimal, above <= idxs)
 
     @classmethod
     def from_tables(cls, n: int, tables) -> "DecisionRule":
-        validate_n(n)
-        pos = {canonical(T) for T in tables}
-        for T in pos:
-            if T.n != n:
-                raise InvalidParameterError(f"table {tuple(T)} has size {T.n}, not {n}")
-        index = build_poset(n, "extended").index
-        return cls._of(n, frozenset(index[T] for T in pos))
+        return cls._of(n, frozenset(map(_layout(validate_n(n)).node, tables)))
 
     @classmethod
     def from_antichain(cls, n: int, antichain) -> "DecisionRule":
@@ -67,20 +61,17 @@ class DecisionRule:
     @classmethod
     def from_predicate(cls, n: int, predicate) -> "DecisionRule":
         """Rule accepting the canonical tables where predicate(T) is true."""
-        po = build_poset(validate_n(n), "extended")
-        return cls._of(n, frozenset(i for i, T in enumerate(po.nodes) if predicate(T)))
+        tables = _layout(validate_n(n)).tables
+        return cls._of(n, frozenset(i for i, T in enumerate(tables) if predicate(T)))
 
     @cached_property
     def positives(self) -> frozenset:
         """Canonical tables answered "yes", read off ``indices``."""
-        nodes = build_poset(self.n, "extended").nodes
-        return frozenset(nodes[i] for i in self.indices)
+        tables = _layout(self.n).tables
+        return frozenset(tables[i] for i in self.indices)
 
     def decides(self, table) -> int:
-        T = canonical(table)
-        if T.n != self.n:
-            raise InvalidParameterError(f"table {tuple(table)} has size {T.n}, not {self.n}")
-        return int(build_poset(self.n, "extended").index[T] in self.indices)
+        return int(_layout(self.n).node(table) in self.indices)
 
     def positive_classes(self) -> tuple:
         """Classes touched by the positive set, descending (rho, alpha)."""

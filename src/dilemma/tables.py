@@ -12,10 +12,9 @@ margin rho = x - t and the imbalance alpha = |y - z|.  Tables sharing
 (rho, alpha) form a class; for odd n, rho + alpha is always odd.
 
 One node layout per committee size, from one walk over (rho, x, y) and
-kept in an LRU cache of 4 entries, is the index every module reads: the
-canonical tables in node order, the flat (x, y, z) cube cell of each and
-of its transpose, and the first node of each (rho, x) run, from which
-the class grouping is derived on first use only.
+kept in an LRU cache of 4 entries, owns the nodes for every module: the
+tables in node order with their cube cells and, built on first use, the
+class grouping, the cell -> node map and the upper covers.
 
 The validators of the scalar parameters (committee size n, loss
 weight w, competence theta) live here too, one per parameter.
@@ -207,6 +206,38 @@ class _Layout:
                 out[TableClass(rho, alpha)] = tuple(
                     start + k for k, start in enumerate(runs[alpha // 2:]))
         return out
+
+    @cached_property
+    def at(self) -> dict:
+        """Cell of each canonical table -> its node index."""
+        return dict(zip(self.cells, range(len(self.cells))))
+
+    def node(self, table) -> int:
+        """Node index of a table of size n, given in either orientation."""
+        T = canonical(table)
+        if T.n != self.n:
+            raise InvalidParameterError(f"table {tuple(table)} has size {T.n}, not {self.n}")
+        b = self.n + 1
+        return self.at[(T.x * b + T.y) * b + T.z]
+
+    @cached_property
+    def up(self) -> tuple:
+        """Ascending upper-cover node indices of each node, shift order."""
+        b, at = self.n + 1, self.at
+        bb = b * b
+        up = []
+        for (x, y, z, t), c in zip(self.tables, self.cells):
+            # z->x, y->x, t->y, t->z lead to canonical tables and rise in
+            # index; at y == z, y->x and t->z repeat z->x and t->y
+            js = [at[c + bb - 1]] if z else []
+            if y > z:
+                js.append(at[c + bb - b])
+            if t:
+                js.append(at[c + b])
+                if y > z:
+                    js.append(at[c + 1])
+            up.append(tuple(js))
+        return tuple(up)
 
 
 _layout = lru_cache(maxsize=4)(_Layout)

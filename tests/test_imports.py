@@ -12,7 +12,9 @@ or an explicit loop.
 Importing the command line module builds no argument parser: the
 first ``run`` does.  Importing the package builds no node layout, and
 building the extended poset leaves the layout's class grouping unbuilt:
-only a caller that reads classes pays for it.
+only a caller that reads classes pays for it.  The optimal, decide and
+simulate paths read rules off the node layout and build no extended
+poset; only the commands that print or count its order do.
 """
 
 import ast
@@ -130,3 +132,34 @@ def test_the_extended_poset_leaves_the_class_grouping_unbuilt():
 def test_the_check_sees_a_class_grouping_built():
     assert class_grouping_built("import dilemma\n"
                                 "dilemma.build_poset(9, 'quotient')\n", 9)
+
+
+def extended_posets_built(code: str) -> int:
+    """Extended posets constructed by running code in a fresh process."""
+    counted = ("from dilemma.poset import Poset\n"
+               "built = []\n"
+               "init = Poset.__init__\n"
+               "def counting(self, n, mode, *args):\n"
+               "    built.append(mode)\n"
+               "    init(self, n, mode, *args)\n"
+               "Poset.__init__ = counting\n"
+               + code + "print(built.count('extended'))\n")
+    return int(run_fresh(counted))
+
+
+def test_the_rule_paths_build_no_extended_poset():
+    assert extended_posets_built(
+        "import dilemma, dilemma.cli\n"
+        "run = dilemma.cli.run\n"
+        "run(['optimal', '--n', '21', '--w', '0.5', '--theta', '0.7'])\n"
+        "run(['decide', '--n', '21', '--w', '0.5', '--theta', '0.7',"
+        " '--table', '11,5,3,2'])\n"
+        "run(['simulate', '--n', '21', '--theta', '0.7', '--state', 'PQ',"
+        " '--trials', '1000', '--seed', '1', '--rule', 'pb'])\n"
+        "dilemma.loss(dilemma.classical_rule('pb', 9), 0.5, 0.7)\n") == 0
+
+
+def test_the_check_sees_an_extended_poset_built():
+    assert extended_posets_built(
+        "import dilemma.cli\n"
+        "dilemma.cli.run(['hasse', '--n', '5', '--mode', 'extended'])\n") == 1

@@ -16,6 +16,7 @@ from dilemma import (
     to_dot,
 )
 from dilemma.poset import MODES
+from dilemma.tables import _layout
 
 # Worked out by hand from the covering moves.
 QUOTIENT_COVERS_N3 = {
@@ -58,16 +59,13 @@ def as_pairs(covers):
 
 
 def assert_covers_match(po, want):
-    """covers equal the oracle pairs, as a set and in index-pair order, and
-    the lower covers are the ascending transpose of the upper covers."""
+    """covers equal the oracle pairs, as a set and in index-pair order."""
     assert as_pairs(po.covers) == want
     assert po.covers == tuple(sorted(want, key=lambda e: (po.index[e[0]], po.index[e[1]])))
-    down = [(j, i) for j, js in enumerate(po._down) for i in js]
-    assert down == sorted((j, i) for i, js in enumerate(po._up) for j in js)
 
 
 def test_extended_nodes_and_covers_match_brute_force():
-    for n in ODD_N_TO_41:
+    for n in (*ODD_N_TO_41, 99):
         po = build_poset(n, "extended")
         assert len(po.nodes) == table_count(n)
         assert_covers_match(po, oracles.extended_covers(n))
@@ -297,6 +295,24 @@ def test_build_poset_has_one_cache_entry_per_n_and_mode():
     assert a is b is c
     info = build_poset.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def test_the_extended_poset_reads_its_nodes_and_covers_off_the_layout():
+    build_poset.cache_clear()
+    for n in (3, 21, 41):
+        po = build_poset(n)
+        layout = _layout(n)
+        assert po.nodes is layout.tables
+        assert po._up is layout.up
+
+
+def test_the_poset_cache_is_bounded():
+    maxsize = build_poset.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(1, 2 * maxsize, 2):
+        for mode in MODES:
+            build_poset(n, mode)
+    assert build_poset.cache_info().currsize == maxsize
 
 
 def test_to_dot():

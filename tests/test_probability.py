@@ -80,6 +80,14 @@ def test_profiles():
         PerVoter(())
 
 
+def test_a_string_profile_is_one_competence():
+    hb = classical_rule("hb", 3)
+    assert as_profile("0.7") == Homogeneous(0.7)
+    assert loss(hb, 0.5, "0.7") == loss(hb, 0.5, 0.7)
+    with pytest.raises(InvalidParameterError):
+        loss(hb, 0.5, "x")
+
+
 def test_table_prob_examples():
     assert table_prob((3, 0, 0, 0), "PQ", 0.6) == pytest.approx(0.6**6, abs=1e-15)
     th = 0.55

@@ -16,6 +16,7 @@ from dilemma import (
     classical_rule,
     empty_rule,
     enumerate_classes,
+    optimal_rule,
     table_class,
 )
 from dilemma.tables import _layout
@@ -140,6 +141,13 @@ def test_class_groups_stay_within_the_cache_bound():
         DecisionRule.from_classes(n, [(n, 0)])
     assert _layout.cache_info().currsize <= 4
     assert _layout.cache_info().maxsize == 4
+
+
+@pytest.mark.parametrize("w,theta", [(0.5, 0.7), (0.3, 0.55), (0.8, 0.9), (0.5, 0.51)])
+def test_optimal_antichain_at_99_matches_the_extended_poset(w, theta):
+    rule = optimal_rule(99, w, theta)
+    assert rule.admissible
+    assert rule.antichain == build_poset(99).minimal_elements(rule.positives)
 
 
 def test_from_predicate():
