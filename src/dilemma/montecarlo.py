@@ -12,9 +12,10 @@ PCG64(child) and the next m * n for the Q judgments, so the Q stream
 starts at PCG64(child) advanced by m * n steps.  Both streams are read
 in chunks of a few thousand trials into reused buffers, which keeps the
 working set cache-sized and the draws identical to reading the block
-at once.  Blocks run on up to one thread per usable CPU (numpy releases
-the GIL while it draws and counts); integer tallies add up in any
-order, so the result is the same for any thread count.  numpy is
+at once.  Every simulation runs its blocks on a thread pool of up to
+one thread per usable CPU, one thread for a single block (numpy
+releases the GIL while it draws and counts); integer tallies add up in
+any order, so the result is the same for any thread count.  numpy is
 imported only when ``simulate`` runs.
 """
 
@@ -172,18 +173,15 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     blocks = [(child, min(BLOCK_TRIALS, spec.trials - i * BLOCK_TRIALS))
               for i, child in enumerate(children)]
     workers = min(nblocks, _usable_cpus())
-    if workers == 1:
-        tally = _tally(blocks, thetas, p_true, q_true)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(lambda i: _tally(blocks[i::workers], thetas,
-                                                   p_true, q_true),
-                                  range(workers)))
-        tally = parts.pop()
-        for part in parts:
-            tally += part
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(lambda i: _tally(blocks[i::workers], thetas,
+                                               p_true, q_true),
+                              range(workers)))
+    tally = parts.pop()
+    for part in parts:
+        tally += part
 
     base = n + 1
     counts = {}

@@ -8,9 +8,10 @@ Writing
     G(eta) = eta**(-rho - alpha) + eta**(-rho + alpha)
 
 the class is good (belongs in the optimal rule) exactly when
-G(eta) < 2 * (1 - w) / w, with ties resolved against inclusion.  G
-always starts at 2 as eta -> 1 with slope -2 * rho; its shape splits
-classes into three types:
+G(eta) < 2 * (1 - w) / w, with ties resolved against inclusion and
+settled exactly: a float G within TIE_BAND of the threshold is compared
+again in rationals.  G always starts at 2 as eta -> 1 with slope
+-2 * rho; its shape splits classes into three types:
 
 * type a (rho <= 0): G increases, so the class is good only for small
   w and weak competence;
@@ -25,8 +26,8 @@ which classes leave the optimal rule as competence grows.
 
 optimal_rule validates (n, w, theta) once, computes eta and the
 threshold xi = 2 * (1 - w) / w once, and then makes one pass over the
-classes of the cached node layout with the same float operations as
-is_good; the rule is the union of the good classes' node indices.
+classes of the cached node layout with the test is_good and pb_optimal
+use; the rule is the union of the good classes' node indices.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .tables import (TableClass, _as_float, _layout, table_class, validate_class
 # |G(eta_star) - xi| below this band is reported as a degenerate
 # tangency instead of guessing zero or two crossings
 TANGENCY_BAND = 1e-14
+TIE_BAND = 1e-12  # |G - xi| up to this share of xi is settled exactly
 # largest bisection bracket end: the midpoint of two floats up to here
 # cannot overflow, and eta / (1 + eta) rounds to 1 long before it
 ETA_MAX = sys.float_info.max / 2
@@ -102,13 +104,23 @@ def _xi(w: float) -> float:
     return 2.0 * (1.0 - w) / w
 
 
+def _good(rho: int, alpha: int, eta: float, xi: float, theta: float, w: float) -> bool:
+    """G(eta) < xi; near a tie, or where both overflow, redone exactly."""
+    g = _g(rho, alpha, eta)
+    if abs(g - xi) > TIE_BAND * xi:
+        return g < xi
+    from fractions import Fraction
+
+    eta, w = Fraction(theta) / (1 - Fraction(theta)), Fraction(w)
+    return eta ** (-rho - alpha) + eta ** (-rho + alpha) < 2 * (1 - w) / w
+
+
 def is_good(cls_or_table, w, theta) -> bool:
     """Strict goodness test; boundary equality counts as bad."""
     c = _as_class(cls_or_table)
     w = validate_w(w)
     theta = validate_theta(theta, goodness=True)
-    eta = theta / (1.0 - theta)
-    return g_eval(c, eta) < _xi(w)
+    return _good(c.rho, c.alpha, theta / (1.0 - theta), _xi(w), theta, w)
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,7 @@ def optimal_rule(n: int, w, theta) -> DecisionRule:
     # the goodness test of is_good, with eta and xi computed once
     eta = theta / (1.0 - theta)
     xi = _xi(w)
-    good = [c for c in _layout(n).groups if _g(c.rho, c.alpha, eta) < xi]
+    good = [c for c in _layout(n).groups if _good(c.rho, c.alpha, eta, xi, theta, w)]
     rule = DecisionRule.from_classes(n, good)
     if not rule.admissible:
         raise StructuralError(f"good classes at n = {n} do not form an upper set")
@@ -220,8 +232,9 @@ def pb_optimal(n: int, w, theta) -> bool:
     validate_n(n)
     w = validate_w(w)
     theta = validate_theta(theta, goodness=True)
-    eta = theta / (1.0 - theta)
-    return theta >= w and eta + eta ** (-n) >= _xi(w)
+    # G of class ((n - 1)/2, (n + 1)/2) is eta + eta**(-n)
+    return theta >= w and not _good((n - 1) // 2, (n + 1) // 2,
+                                    theta / (1.0 - theta), _xi(w), theta, w)
 
 
 def pb_optimal_sufficient(w, theta) -> bool:

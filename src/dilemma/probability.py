@@ -12,11 +12,11 @@ is the mass a symmetric rule puts on the node.  For a homogeneous
 committee each entry is the multinomial count times theta**a *
 (1-theta)**b, with the counts computed once per n as exact integers
 converted late; per-voter competences are convolved ballot by ballot
-over a numpy (x, y, z) cube and read off at the cells of the shared
-node layout (``dilemma.tables``).  Laws live in a bounded LRU cache
-(LAW_CACHE_SIZE entries), so a theta sweep or a long stream of
-committees keeps memory flat.  ``table_law`` is an ordered-table dict
-view of the same numbers for tests and oracles.
+over a numpy (x, y, z) cube and read off at the cube cells of the
+shared node layout (``dilemma.tables``).  Laws live in an LRU cache of
+LAW_CACHE_SIZE entries keyed by the profile, so a theta sweep or a long
+stream of committees keeps memory flat.  ``table_law`` is an
+ordered-table dict view of the same numbers for tests and oracles.
 
 False positives weigh the positive tables under PnQ (by symmetry nPQ
 gives the same number for any rule considered here); false negatives
@@ -109,12 +109,6 @@ def profile_thetas(profile: Profile, n: int) -> tuple:
     return profile.thetas
 
 
-def _profile_key(profile: Profile):
-    if isinstance(profile, Homogeneous):
-        return ("hom", profile.theta)
-    return ("per", profile.thetas)
-
-
 @dataclass(frozen=True)
 class NegativePrior:
     """Prior weights over the three states where the conclusion fails."""
@@ -188,21 +182,21 @@ def _terms(n: int):
     return mults, exponents
 
 
-def _homogeneous_law(n: int, state: State, th: float):
+def _homogeneous_law(n: int, state: State, profile: Homogeneous):
     mults, exponents = _terms(n)
+    th = profile.theta
     e_canon, e_trans = exponents[state]
-    lay = _layout(n)
     # same operations, in the same order, as multinomial * th**a * (1-th)**b;
-    # a table is its own transpose exactly when its two cells agree
+    # a table is its own transpose exactly when y == z, that is e_y == e_z
     pa = [th**k for k in range(2 * n + 1)]
     pb = [(1.0 - th) ** (2 * n - k) for k in range(2 * n + 1)]
     canon = [m * pa[a] * pb[a] for m, a in zip(mults, e_canon)]
-    trans = [m * pa[a] * pb[a] if c != ct else 0.0
-             for m, a, c, ct in zip(mults, e_trans, lay.cells, lay.cells_t)]
+    trans = [m * pa[a] * pb[a] if ey != ez else 0.0
+             for m, a, ey, ez in zip(mults, e_trans, *exponents[State.PnQ])]
     return canon, trans
 
 
-def _per_voter_law(n: int, state: State, thetas: tuple):
+def _per_voter_law(n: int, state: State, profile: PerVoter):
     """Convolve the ballot laws over an (x, y, z) cube, t implied.
 
     Each cell adds its sources in the order t-1, z-1, y-1, x-1, the
@@ -212,7 +206,7 @@ def _per_voter_law(n: int, state: State, thetas: tuple):
     import numpy as np
 
     law = np.ones((1, 1, 1))
-    for k, th in enumerate(thetas, start=1):
+    for k, th in enumerate(profile.thetas, start=1):
         a, b, c, d = single_vote_law(state, th)
         new = np.zeros((k + 1, k + 1, k + 1))
         new[:k, :k, :k] = d * law
@@ -220,11 +214,12 @@ def _per_voter_law(n: int, state: State, thetas: tuple):
         new[:k, 1:, :k] += b * law
         new[1:, :k, :k] += a * law
         law = new
-    lay = _layout(n)
-    flat = law.ravel()
-    cells, cells_t = np.array(lay.cells), np.array(lay.cells_t)
-    trans = np.where(cells != cells_t, flat[cells_t], 0.0)
-    return flat[cells].tolist(), trans.tolist()
+    cells = _layout(n).cells
+    canon = law.ravel()[cells]
+    # P(T transposed) is the law at (x, z, y), and 0.0 when y == z
+    trans = law.transpose(0, 2, 1).ravel()[cells]
+    trans[cells % (n + 1) == cells // (n + 1) % (n + 1)] = 0.0
+    return canon.tolist(), trans.tolist()
 
 
 def _law_key(n: int, state, profile):
@@ -232,7 +227,7 @@ def _law_key(n: int, state, profile):
     state = as_state(state)
     profile = as_profile(profile)
     profile_thetas(profile, n)  # length check
-    return state, _profile_key(profile)
+    return state, profile
 
 
 # bounded: a theta sweep or a stream of committees evicts old laws
@@ -240,10 +235,9 @@ LAW_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=LAW_CACHE_SIZE)
-def _node_law(n: int, state: State, key) -> NodeLaw:
-    kind, value = key
-    make = _homogeneous_law if kind == "hom" else _per_voter_law
-    canon, trans = make(n, state, value)
+def _node_law(n: int, state: State, profile: Profile) -> NodeLaw:
+    make = _homogeneous_law if isinstance(profile, Homogeneous) else _per_voter_law
+    canon, trans = make(n, state, profile)
     return NodeLaw(tuple(canon), tuple(trans),
                    tuple(c + t for c, t in zip(canon, trans)))
 
@@ -254,8 +248,8 @@ def node_law(n: int, state, profile) -> NodeLaw:
 
 
 @lru_cache(maxsize=4)
-def _table_law(n: int, state: State, key) -> dict:
-    law = _node_law(n, state, key)
+def _table_law(n: int, state: State, profile: Profile) -> dict:
+    law = _node_law(n, state, profile)
     probs = {}
     for T, c, t in zip(_layout(n).tables, law.canon, law.trans):
         probs[T] = c

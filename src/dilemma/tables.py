@@ -13,8 +13,8 @@ margin rho = x - t and the imbalance alpha = |y - z|.  Tables sharing
 
 One node layout per committee size, from one walk over (rho, x, y) and
 kept in an LRU cache of 4 entries, owns the nodes for every module: the
-tables in node order with their cube cells and, built on first use, the
-class grouping, the cell -> node map and the upper covers.
+tables in node order and the run starts, which give a table's node in
+closed form and, on first use, the class grouping, covers and cells.
 
 The validators of the scalar parameters (committee size n, loss
 weight w, competence theta) live here too, one per parameter.
@@ -166,30 +166,21 @@ def class_count(n: int) -> int:
 
 
 class _Layout:
-    """Tables in node order; cells (x*b + y)*b + z, b = n + 1, of each
-    and of its transpose; the first node of each (rho, x) run."""
+    """Tables in node order and the first node of each (rho, x) run: a
+    run fixes x and t = x - rho and counts z up from 0, so table
+    (x, y, z, t) is node starts[n - rho][(n + rho)//2 - x] + z."""
 
     def __init__(self, n: int):
         # at margin rho a table with x voters for both premisses has
-        # t = x - rho, y + z = s = n - x - t, and y runs down to y >= z;
-        # along the run the cell steps by 1 - b and the transposed cell by b - 1
-        b = n + 1
+        # t = x - rho, y + z = s = n - x - t, and y runs down to y >= z
         tables = []
-        self.cells, self.cells_t, self.starts = cells, cells_t, starts = [], [], []
+        self.starts = starts = []
         for rho in range(n, -n - 1, -1):
-            runs = []
+            starts.append(runs := [])
             for x in range((n + rho) // 2, max(rho, 0) - 1, -1):
                 runs.append(len(tables))
-                t = x - rho
-                s = n - x - t
-                ys = range(s, (s - 1) // 2, -1)
-                c = (x * b + s) * b  # cell of y = s, z = 0
-                cells.extend(range(c, c - len(ys) * (b - 1), 1 - b))
-                c = x * b * b + s    # its transpose
-                cells_t.extend(range(c, c + len(ys) * (b - 1), b - 1))
-                for y in ys:
-                    tables.append(VoteTable(x, y, s - y, t))
-            starts.append(runs)
+                t, s = x - rho, n - 2 * x + rho
+                tables.extend(VoteTable(x, y, s - y, t) for y in range(s, (s - 1) // 2, -1))
         self.n, self.tables = n, tuple(tables)
 
     @cached_property
@@ -207,37 +198,48 @@ class _Layout:
                     start + k for k, start in enumerate(runs[alpha // 2:]))
         return out
 
-    @cached_property
-    def at(self) -> dict:
-        """Cell of each canonical table -> its node index."""
-        return dict(zip(self.cells, range(len(self.cells))))
-
     def node(self, table) -> int:
         """Node index of a table of size n, given in either orientation."""
-        T = canonical(table)
+        x, _, z, t = T = canonical(table)
         if T.n != self.n:
             raise InvalidParameterError(f"table {tuple(table)} has size {T.n}, not {self.n}")
-        b = self.n + 1
-        return self.at[(T.x * b + T.y) * b + T.z]
+        n, rho = self.n, x - t
+        return self.starts[n - rho][(n + rho) // 2 - x] + z
 
     @cached_property
     def up(self) -> tuple:
-        """Ascending upper-cover node indices of each node, shift order."""
-        b, at = self.n + 1, self.at
-        bb = b * b
-        up = []
-        for (x, y, z, t), c in zip(self.tables, self.cells):
-            # z->x, y->x, t->y, t->z lead to canonical tables and rise in
-            # index; at y == z, y->x and t->z repeat z->x and t->y
-            js = [at[c + bb - 1]] if z else []
-            if y > z:
-                js.append(at[c + bb - b])
-            if t:
-                js.append(at[c + b])
-                if y > z:
-                    js.append(at[c + 1])
-            up.append(tuple(js))
+        """Ascending upper-cover node indices of each node, shift order.
+
+        z->x and y->x are offsets z - 1 and z of run (x + 1, t), t->y and
+        t->z offsets z and z + 1 of run (x, t - 1), both one rank up; at
+        y == z, y->x and t->z repeat z->x and t->y.
+        """
+        n, starts, up = self.n, self.starts, [()]  # the top table has no covers
+        for rho in range(n - 1, -n - 1, -1):
+            above = starts[n - rho - 1]
+            for x in range((n + rho) // 2, max(rho, 0) - 1, -1):
+                t, s, d = x - rho, n - 2 * x + rho, (n + rho + 1) // 2 - x
+                # runs (x + 1, t) and (x, t - 1) start at above[d - 1] and
+                # above[d]; the first is not read at s = 0, nor the second at t = 0
+                a, b = above[d - 1], above[d] if t else 0
+                for z in range(s // 2 + 1):
+                    js = [a + z - 1] if z else []
+                    if s - z > z:
+                        js.append(a + z)
+                    if t:
+                        js.append(b + z)
+                        if s - z > z:
+                            js.append(b + z + 1)
+                    up.append(tuple(js))
         return tuple(up)
+
+    @cached_property
+    def cells(self):
+        """Cube cells (x*b + y)*b + z, b = n + 1, in node order, for numpy."""
+        import numpy as np
+
+        b = self.n + 1
+        return np.array([(x * b + y) * b + z for x, y, z, _ in self.tables])
 
 
 _layout = lru_cache(maxsize=4)(_Layout)
@@ -254,19 +256,10 @@ def enumerate_classes(n: int) -> list[TableClass]:
 
 
 def class_members(cls, n: int) -> list[VoteTable]:
-    """Canonical tables of a class, in node order.
-
-    Solving x - t = rho, y - z = alpha, x + y + z + t = n gives one
-    table per feasible t.
-    """
-    c = validate_class(cls, n)
-    out = []
-    for t in range(max(0, -c.rho), (n - c.rho - c.alpha) // 2 + 1):
-        x = c.rho + t
-        z = (n - c.rho - c.alpha - 2 * t) // 2
-        out.append(VoteTable(x, z + c.alpha, z, t))
-    out.sort(key=node_sort_key)
-    return out
+    """Canonical tables of a class, in node order."""
+    c = validate_class(cls, validate_n(n))
+    layout = _layout(n)
+    return [layout.tables[i] for i in layout.groups[c]]
 
 
 def whitney_numbers(n: int) -> dict[int, int]:

@@ -9,6 +9,7 @@ for that table.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 
@@ -190,6 +191,16 @@ def count_monotone_labelings(nodes, covers):
         if ok:
             count += 1
     return count
+
+
+def exact_good(cls, w, theta):
+    """Goodness of class (rho, alpha) on the exact values of the floats w
+    and theta: G(eta) < xi multiplied through by eta**(rho + alpha) > 0,
+    that is eta**(2 alpha) + 1 < xi * eta**(rho + alpha); a tie is bad."""
+    rho, alpha = cls
+    theta, w = Fraction(theta), Fraction(w)
+    eta = theta / (1 - theta)
+    return eta ** (2 * alpha) + 1 < 2 * (1 - w) / w * eta ** (rho + alpha)
 
 
 def bisect_g_root(rho, alpha, xi, lo, hi, tol=1e-13):

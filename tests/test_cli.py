@@ -20,6 +20,28 @@ OPTIMAL_99_DIGEST = "eb7a2c4d5bbbe019f646f8f8fccbba978715a5813e43b061bcd57daf5fb
 # before rules were stored as node index sets
 OPTIMAL_SWEEP_DIGEST = "9ea959639ea777a24f79d9c15c6349a09ffb9c1ba1fb6a47f82040fd0f315468"
 
+# SHA-256 of the stdout of each command, recorded before a table's node
+# index became a closed form of the layout's run starts: the per-voter
+# law, the class grouping and pb_optimal each reach stdout here
+PATH_DIGESTS = (
+    ("optimal --n 5 --w 0.4 --theta 0.6,0.65,0.7,0.75,0.8 --format json",
+     "c061381630157c0a3dccc3a858a7bf0315e1db44f76ff18760afff34ea9e6015"),
+    ("rank --n 9 --w 0.45 --theta 0.56,0.6,0.64,0.68,0.72,0.76,0.8,0.84,0.88"
+     " --mode compact --k 8 --format json",
+     "425644c91e6a41c3e354f11ee0f73a057fb106a2349e4c63a4946b9f6831adc7"),
+    ("rank --n 5 --w 0.4 --theta 0.6,0.65,0.7,0.75,0.8 --mode extended --k 8"
+     " --precision 17",
+     "80f5ea3ccd14c97ad11bb6414527478273649586dabb5d7cb3657f0f2c17aad9"),
+    ("classify --n 21 --w 0.3 --format csv --precision 12",
+     "34ee44332f2e310ae70b0690b6ab6b4dfd00493af810d632be881c026ebd2733"),
+    ("count --n 5 --format json",
+     "934296cab594ad4a03df72e664bfef80886334715d6f66038488fb68f2b070a7"),
+    ("region --n 99 --grid 100",
+     "c6b80bf539a384f3cec1063bd83d5fdbde4c0131dae1e8250451a14066f473e7"),
+    ("decide --n 21 --w 0.35 --theta 0.66 --table 9,5,3,4 --format json",
+     "582ef5c2559037d5d118d63a29af5ff8491257f547f84d81c965c21769fb787e"),
+)
+
 
 def run_ok(capsys, *argv):
     code = run(list(argv))
@@ -70,6 +92,20 @@ def test_optimal_sweep_is_byte_identical(capsys):
                     digest.update(run_ok(capsys, "optimal", "--n", str(n), "--w", w,
                                          "--theta", theta, "--format", fmt).encode())
     assert digest.hexdigest() == OPTIMAL_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("command,digest", PATH_DIGESTS, ids=[c for c, _ in PATH_DIGESTS])
+def test_paths_are_byte_identical(capsys, command, digest):
+    out = run_ok(capsys, *command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_an_exact_tie_leaves_the_class_out(capsys):
+    # on the diagonal w = theta class (1, 0) has G = xi exactly
+    for k in range(51, 100):
+        theta = f"0.{k}"
+        out = run_ok(capsys, "optimal", "--n", "3", "--w", theta, "--theta", theta)
+        assert out.splitlines()[1] == "classes: (3,0) (2,1)", theta
 
 
 def test_decide_beyond_the_float_range(capsys):

@@ -12,7 +12,8 @@ or an explicit loop.
 Importing the command line module builds no argument parser: the
 first ``run`` does.  Importing the package builds no node layout, and
 building the extended poset leaves the layout's class grouping unbuilt:
-only a caller that reads classes pays for it.  The optimal, decide and
+only a caller that reads classes pays for it.  Likewise only the
+per-voter law derives the layout's cube cells.  The optimal, decide and
 simulate paths read rules off the node layout and build no extended
 poset; only the commands that print or count its order do.
 """
@@ -106,14 +107,14 @@ def layouts_built(code: str) -> int:
                          "print(_layout.cache_info().misses)\n"))
 
 
-def class_grouping_built(code: str, n: int) -> bool:
-    """Whether the size-n layout holds its class grouping after code, in a
-    fresh process; the code must have built that layout already."""
+def layout_holds(code: str, n: int, name: str) -> bool:
+    """Whether the size-n layout holds the derived attribute name after
+    code, in a fresh process; the code must have built that layout already."""
     return run_fresh("from dilemma.tables import _layout\n" + code +
                      "misses = _layout.cache_info().misses\n"
                      f"layout = _layout({n})\n"
                      "assert _layout.cache_info().misses == misses\n"
-                     "print('groups' in vars(layout))\n") == "True"
+                     f"print({name!r} in vars(layout))\n") == "True"
 
 
 def test_importing_the_package_builds_no_layout():
@@ -125,13 +126,31 @@ def test_the_check_sees_a_layout_built():
 
 
 def test_the_extended_poset_leaves_the_class_grouping_unbuilt():
-    assert not class_grouping_built("import dilemma\n"
-                                    "dilemma.build_poset(9, 'extended')\n", 9)
+    assert not layout_holds("import dilemma\n"
+                            "dilemma.build_poset(9, 'extended')\n", 9, "groups")
 
 
 def test_the_check_sees_a_class_grouping_built():
-    assert class_grouping_built("import dilemma\n"
-                                "dilemma.build_poset(9, 'quotient')\n", 9)
+    assert layout_holds("import dilemma\n"
+                        "dilemma.build_poset(9, 'quotient')\n", 9, "groups")
+
+
+def test_the_homogeneous_paths_derive_no_cube_cells():
+    assert not layout_holds(
+        "import dilemma.cli\n"
+        "run = dilemma.cli.run\n"
+        "run(['optimal', '--n', '21', '--w', '0.5', '--theta', '0.7'])\n"
+        "run(['decide', '--n', '21', '--w', '0.5', '--theta', '0.7',"
+        " '--table', '11,5,3,2'])\n"
+        "run(['simulate', '--n', '21', '--theta', '0.7', '--state', 'PQ',"
+        " '--trials', '1000', '--seed', '1', '--rule', 'pb'])\n", 21, "cells")
+
+
+def test_the_check_sees_the_cube_cells_derived():
+    assert layout_holds(
+        "import dilemma.cli\n"
+        "dilemma.cli.run(['rank', '--n', '5', '--w', '0.5', '--theta',"
+        " '0.6,0.65,0.7,0.75,0.8', '--mode', 'compact', '--k', '3'])\n", 5, "cells")
 
 
 def extended_posets_built(code: str) -> int:

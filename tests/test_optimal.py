@@ -307,6 +307,37 @@ def test_is_good_agrees_with_the_log_form(cls, w, theta):
     assert is_good(cls, w, theta) == (log_g(cls, eta) < log_xi(w))
 
 
+# competences above 1/2 on the two-decimal grid, and w on the same grid
+GRID_THETAS = tuple(k / 100 for k in range(51, 100))
+GRID_WS = tuple(k / 100 for k in range(1, 100))
+DIAGONAL = THETAS.map(lambda theta: (theta, theta))  # w = theta, G = xi for (1, 0)
+
+
+@st.composite
+def classes_of(draw, n):
+    """Any class of size n, class (1, 0) often: it ties on the diagonal."""
+    if draw(st.booleans()):
+        return TableClass(1, 0)
+    rho = draw(st.integers(-n, n))
+    return TableClass(rho, n - abs(rho) - 2 * draw(st.integers(0, (n - abs(rho)) // 2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(range(1, 100, 2)).flatmap(
+           lambda n: st.tuples(st.just(n), classes_of(n))),
+       st.one_of(DIAGONAL, st.tuples(st.sampled_from(GRID_WS), st.sampled_from(GRID_THETAS)),
+                 st.sampled_from(GRID_THETAS).map(lambda theta: (theta, theta)),
+                 st.tuples(WS, THETAS)))
+@example((3, TableClass(1, 0)), (0.7, 0.7))  # G = xi exactly; float G is below xi
+@example((99, TableClass(1, 0)), (0.57, 0.57))
+def test_goodness_agrees_with_exact_arithmetic(n_cls, w_theta):
+    (n, cls), (w, theta) = n_cls, w_theta
+    assert is_good(cls, w, theta) == oracles.exact_good(cls, w, theta)
+    pb_class = ((n - 1) // 2, (n + 1) // 2)
+    assert pb_optimal(n, w, theta) == (
+        theta >= w and not oracles.exact_good(pb_class, w, theta))
+
+
 def test_optimal_rule_validation():
     with pytest.raises(InvalidParameterError):
         optimal_rule(4, 0.5, 0.7)

@@ -234,6 +234,11 @@ def test_mass_is_deterministic_and_cached():
     b = positive_mass(pb, "PnQ", 0.7345)
     assert a == b
     assert table_law(5, "PnQ", 0.7345) is table_law(5, "PnQ", 0.7345)
+    # the cache is keyed by the profile: a float and its Homogeneous share
+    # one law, and the equal per-voter profile keeps its own
+    law = node_law(5, "PnQ", 0.7)
+    assert law is node_law(5, "PnQ", Homogeneous(0.7))
+    assert law is not node_law(5, "PnQ", PerVoter((0.7,) * 5))
 
 
 @settings(max_examples=40, deadline=None)

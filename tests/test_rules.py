@@ -129,10 +129,12 @@ def test_class_groups_match_the_class_members(n):
     for c, idxs in groups.items():
         assert idxs == tuple(sorted(po.index[T] for T in class_members(c, n)))
         assert all(table_class(po.nodes[i]) == c for i in idxs)
-    # each cell decodes to its table, each transposed cell to the transpose
+    # each cell decodes to its table; swapping its y and z digits, as the
+    # per-voter law does, decodes to the transpose
     b = n + 1
-    for T, c, ct in zip(layout.tables, layout.cells, layout.cells_t):
+    for T, c in zip(layout.tables, layout.cells):
         assert (c // (b * b), c // b % b, c % b) == T[:3]
+        ct = c + (c % b - c // b % b) * (b - 1)
         assert (ct // (b * b), ct // b % b, ct % b) == T.transpose()[:3]
 
 

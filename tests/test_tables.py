@@ -18,6 +18,7 @@ from dilemma import (
     whitney_numbers,
 )
 from dilemma.tables import (
+    _layout,
     class_sort_key,
     node_sort_key,
     validate_class,
@@ -55,8 +56,13 @@ SIZES = (*range(1, 42, 2), 99)
 def test_enumerate_tables_matches_brute_force():
     for n in SIZES:
         tabs = enumerate_tables(n)
-        assert [tuple(T) for T in tabs] == oracles.canonical_tables(n)
+        want = oracles.canonical_tables(n)
+        assert [tuple(T) for T in tabs] == want
         assert len(tabs) == len(set(tabs)) == table_count(n)
+        # the run-start formula numbers each table, and its transpose alike
+        node = _layout(n).node
+        assert [node(T) for T in want] == list(range(len(want)))
+        assert [node((x, z, y, t)) for x, y, z, t in want] == list(range(len(want)))
 
 
 def test_enumerate_tables_order():
@@ -95,6 +101,22 @@ def test_class_members_partition_tables():
                 assert table_class(T) == c
             seen.extend(members)
         assert sorted(seen) == sorted(enumerate_tables(n))
+
+
+@pytest.mark.parametrize("n", [*range(1, 22, 2), 99])
+def test_class_members_match_the_oracle_grouping(n):
+    want = {}
+    for T in oracles.canonical_tables(n):
+        want.setdefault((T[0] - T[3], T[1] - T[2]), []).append(T)
+    for c in enumerate_classes(n):
+        assert [tuple(T) for T in class_members(c, n)] == want.pop(tuple(c))
+    assert want == {}
+
+
+def test_class_members_validates_the_class_and_the_size():
+    for cls, n in (((1, 0), "x"), ((1, 0), 4), ((1, 0), None), ((2, 0), 3), ((5, 0), 3)):
+        with pytest.raises(InvalidParameterError):
+            class_members(cls, n)
 
 
 def test_class_members_examples():
