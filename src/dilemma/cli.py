@@ -26,7 +26,7 @@ from .errors import InvalidParameterError, StructuralError
 from .montecarlo import SimulationSpec, simulate
 from .optimal import (GoodnessProfile, classical_rule, classify,
                       goodness_intervals, is_good, optimal_rule, pb_region)
-from .poset import build_poset, max_antichain_size, to_dot
+from .poset import ENUMERATION_BOUND, build_poset, max_antichain_size, to_dot
 from .probability import Homogeneous, as_profile, loss
 from .ranking import DEFAULT_K, RankingRequest, rank_rules, ranking_record
 from .rules import DecisionRule
@@ -36,7 +36,6 @@ from .tables import (class_count, enumerate_classes, table_class, table_count,
 _POSET_MODES = {"extended": "extended", "quotient": "quotient",
                 "reduced": "optimality_reduced",
                 "optimality_reduced": "optimality_reduced"}
-_COUNT_BOUND = {"extended": 5, "quotient": 9, "optimality_reduced": 9}
 
 
 def _sig(value: float, digits: int) -> str:
@@ -270,10 +269,9 @@ def _cmd_count(args) -> int:
     }
     upper = {}
     skipped = []
-    for mode, bound in _COUNT_BOUND.items():
+    for mode, bound in ENUMERATION_BOUND.items():
         if n <= bound or args.force:
-            po = build_poset(n, mode)
-            upper[mode] = sum(1 for _ in po.antichains())
+            upper[mode] = sum(1 for _ in build_poset(n, mode).upper_sets())
         else:
             skipped.append((mode, bound))
     if args.format == "json":

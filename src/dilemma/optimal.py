@@ -24,10 +24,10 @@ The greatest competence at which a type-c class stays good is the root
 theta_0 reported by goodness_intervals; those roots drive the order in
 which classes leave the optimal rule as competence grows.
 
-optimal_rule validates (n, w, theta) once, computes eta and the
-threshold xi = 2 * (1 - w) / w once, and then makes one pass over the
-classes of the cached node layout with the test is_good and pb_optimal
-use; the rule is the union of the good classes' node indices.
+The test runs over a list of classes with eta and the threshold
+xi = 2 * (1 - w) / w computed once: optimal_rule over every class of
+the cached node layout, the rule being the union of the good classes'
+node indices, and is_good and pb_optimal over one class each.
 """
 
 from __future__ import annotations
@@ -104,14 +104,23 @@ def _xi(w: float) -> float:
     return 2.0 * (1.0 - w) / w
 
 
-def _good(rho: int, alpha: int, eta: float, xi: float, theta: float, w: float) -> bool:
-    """G(eta) < xi; near a tie, or where both overflow, redone exactly."""
-    g = _g(rho, alpha, eta)
-    if abs(g - xi) > TIE_BAND * xi:
-        return g < xi
+def _good(classes, w: float, theta: float) -> list:
+    """The classes with G(eta) < xi, in the given order; near a tie, or
+    where both overflow, G is compared again in exact rationals."""
+    eta, xi = theta / (1.0 - theta), _xi(w)
+    band = TIE_BAND * xi
+    good = []
+    for c in classes:
+        g = _g(c[0], c[1], eta)
+        if g < xi if abs(g - xi) > band else _exactly_good(c, w, theta):
+            good.append(c)
+    return good
+
+
+def _exactly_good(cls, w: float, theta: float) -> bool:
     from fractions import Fraction
 
-    eta, w = Fraction(theta) / (1 - Fraction(theta)), Fraction(w)
+    (rho, alpha), eta, w = cls, Fraction(theta) / (1 - Fraction(theta)), Fraction(w)
     return eta ** (-rho - alpha) + eta ** (-rho + alpha) < 2 * (1 - w) / w
 
 
@@ -120,7 +129,7 @@ def is_good(cls_or_table, w, theta) -> bool:
     c = _as_class(cls_or_table)
     w = validate_w(w)
     theta = validate_theta(theta, goodness=True)
-    return _good(c.rho, c.alpha, theta / (1.0 - theta), _xi(w), theta, w)
+    return bool(_good((c,), w, theta))
 
 
 @dataclass(frozen=True)
@@ -217,11 +226,10 @@ def optimal_rule(n: int, w, theta) -> DecisionRule:
     validate_n(n)
     w = validate_w(w)
     theta = validate_theta(theta, goodness=True)
-    # the goodness test of is_good, with eta and xi computed once
-    eta = theta / (1.0 - theta)
-    xi = _xi(w)
-    good = [c for c in _layout(n).groups if _good(c.rho, c.alpha, eta, xi, theta, w)]
-    rule = DecisionRule.from_classes(n, good)
+    # the goodness test of is_good, run once over the layout's classes
+    groups = _layout(n).groups
+    good = _good(groups, w, theta)
+    rule = DecisionRule._of(n, frozenset(i for c in good for i in groups[c]))
     if not rule.admissible:
         raise StructuralError(f"good classes at n = {n} do not form an upper set")
     return rule
@@ -233,8 +241,7 @@ def pb_optimal(n: int, w, theta) -> bool:
     w = validate_w(w)
     theta = validate_theta(theta, goodness=True)
     # G of class ((n - 1)/2, (n + 1)/2) is eta + eta**(-n)
-    return theta >= w and not _good((n - 1) // 2, (n + 1) // 2,
-                                    theta / (1.0 - theta), _xi(w), theta, w)
+    return theta >= w and not _good((((n - 1) // 2, (n + 1) // 2),), w, theta)
 
 
 def pb_optimal_sufficient(w, theta) -> bool:

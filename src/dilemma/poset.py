@@ -24,15 +24,18 @@ every cover raises it by one.  Three poset modes exist:
 
 Upper sets of these posets are in bijection with monotone symmetric
 rules; the antichain of minimal elements is the compact encoding.
-Every order test is one upward search over the covers,
-``strictly_above``, which marks the nodes strictly above a set in
-O(nodes + covers): the set is an upper set when no mark falls outside
-it, and its unmarked members are its minimal elements.
+Every cover raises (rho, -alpha), so ``upper_sets`` visits the nodes
+by descending rho, then ascending alpha, and lets a node join once all
+its upper covers are in.  ``minimal_elements`` is cover-local too: a
+set is an upper set when it holds its members' upper covers, and its
+minimal members are those no member covers.  Closures take one upward
+search over the covers, ``strictly_above``, in O(nodes + covers):
+``upper_set``, ``leq`` and ``comparable`` here, and the rules of
+``dilemma.rules``, whose positive sets need not be upper sets.
 
 A ``Poset`` stores upper-cover indices only and derives ``covers`` from them.
 Posets are immutable after construction and safe to share across
-threads; the comparability bitmap, built on first use by the antichain
-stream (which is bounded to small n), is an idempotent cache.
+threads.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .errors import InvalidParameterError, StructuralError
 from .tables import _layout, enumerate_classes, validate_n
 
 MODES = ("extended", "quotient", "optimality_reduced")
+# largest n whose upper sets are listed unforced (768 extended at n = 5)
+ENUMERATION_BOUND = {"extended": 5, "quotient": 9, "optimality_reduced": 9}
 
 
 class Poset:
@@ -55,7 +60,6 @@ class Poset:
         self.nodes = tuple(nodes)
         self.index = {v: i for i, v in enumerate(self.nodes)}
         self._up = tuple(up)
-        self._comp = None
 
     @property
     def covers(self) -> tuple:
@@ -94,18 +98,6 @@ class Poset:
         ia, ib = self._idx(a), self._idx(b)
         return self._leq_idx(ia, ib) or self._leq_idx(ib, ia)
 
-    def _comp_masks(self) -> list[int]:
-        # comp[i] = bitset of the nodes comparable to i, i excluded; built
-        # on first use, since only the antichain stream needs it
-        if self._comp is None:
-            comp = [0] * len(self.nodes)
-            for i in range(len(self.nodes)):
-                for j in self.strictly_above((i,)):
-                    comp[i] |= 1 << j
-                    comp[j] |= 1 << i
-            self._comp = comp
-        return self._comp
-
     def upper_set(self, antichain) -> frozenset:
         """Upward closure of a pairwise-incomparable node set."""
         idxs = [self._idx(a) for a in antichain]
@@ -125,31 +117,43 @@ class Poset:
     def minimal_elements(self, nodes) -> tuple:
         """Minimal elements of an upper set, in node order."""
         idxs = {self._idx(v) for v in nodes}
-        above = self.strictly_above(idxs)
-        if not above <= idxs:
+        covered = {j for i in idxs for j in self._up[i]}
+        if not covered <= idxs:
             raise StructuralError("input node set is not an upper set")
-        return tuple(self.nodes[i] for i in sorted(idxs - above))
+        return tuple(self.nodes[i] for i in sorted(idxs - covered))
+
+    def upper_sets(self) -> Iterator[tuple[int, int]]:
+        """Every upper set once, as bitmasks (upper, minimal) of its members
+        and minimal elements, bit N-1-i for node i (ascending masks are in
+        bitset order).  Depth first from the empty set: a set grows by a
+        later node whose upper covers are all in, which is then minimal,
+        and its covers stop being minimal."""
+        nodes, N = self.nodes, len(self.nodes)
+        bit = [1 << (N - 1 - i) for i in range(N)]
+        order = sorted(range(N), key=lambda i: (-nodes[i].rho, nodes[i].alpha))
+        steps = [(sum(bit[j] for j in self._up[i]), bit[i]) for i in order]
+        stack = [(0, 0, 0)]
+        while stack:
+            upper, minimal, start = stack.pop()
+            yield upper, minimal
+            # pushed last to first, so the earliest node is grown first
+            for p in range(N - 1, start - 1, -1):
+                need, b = steps[p]
+                if upper & need == need:
+                    stack.append((upper | b, minimal & ~need | b, p + 1))
 
     def antichains(self) -> Iterator[tuple]:
-        """Stream every antichain exactly once, elements in node order.
-
-        Depth-first extension in index order; the empty antichain comes
-        first, then streams ordered lexicographically by index tuple.
-        """
-        comp = self._comp_masks()
-        N = len(self.nodes)
-        nodes = self.nodes
-
-        def extend(prefix, forbidden, start):
-            for i in range(start, N):
-                if forbidden >> i & 1:
-                    continue
-                cur = prefix + (nodes[i],)
-                yield cur
-                yield from extend(cur, forbidden | comp[i], i + 1)
-
-        yield ()
-        yield from extend((), 0, 0)
+        """Stream every antichain exactly once, elements in node order: the
+        minimal elements of each upper set, in the order of ``upper_sets``,
+        so the empty antichain comes first."""
+        nodes, top = self.nodes, len(self.nodes) - 1
+        for _, minimal in self.upper_sets():
+            ac = []
+            while minimal:
+                b = minimal.bit_length() - 1
+                ac.append(nodes[top - b])
+                minimal ^= 1 << b
+            yield tuple(ac)
 
 
 def strictly_above(up, idxs) -> set[int]:

@@ -4,17 +4,19 @@ Admissible rules are upper sets, so ranking scores the upper sets of
 the chosen poset: ``extended`` mode ranks every admissible rule,
 ``compact`` mode only the class-constant ones (upper sets of the
 quotient).  Their number grows steeply with n, so ranking is refused
-above n = 5 (extended) or n = 9 (compact) unless force is set.
+above the poset's enumeration bound, n = 5 (extended) or n = 9
+(compact), unless force is set.
 
 The upper sets do not depend on the profile or on w.  For each (n,
 mode) they are listed once, as ascending tuples of node indices, in a
 table kept in an LRU cache of TABLE_CACHE_SIZE entries; the first query of
-an (n, mode) builds it from the antichain stream.  A query then costs
-the profile's two node laws and one pass over the table (768 rows at
-n = 5 extended, 1,024 at n = 9 compact): each row's false positive and
-missed mass are summed term by term in node order, a row's score is
-w * fp + (1 - w) * (fn_total - missed), and only the k best rows are
-turned into rules.
+an (n, mode) builds it by sorting the upper-set bitmasks that
+``Poset.upper_sets`` yields, which puts the rows in bitset order.  A
+query then costs the profile's two node laws and one pass over the
+table (768 rows at n = 5 extended, 1,024 at n = 9 compact): each
+row's false positive and missed mass are summed term by term in node
+order, a row's score is w * fp + (1 - w) * (fn_total - missed), and
+only the k best rows are turned into rules.
 
 Ties are broken deterministically: ascending score, then ascending
 false positive mass, then lexicographic positive-set bitset in node
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 from .errors import InvalidParameterError
 from .optimal import classical_rule
-from .poset import build_poset
+from .poset import ENUMERATION_BOUND as _POSET_BOUND, build_poset
 from .probability import (Homogeneous, PerVoter, RuleEvaluation, State,
                           as_profile, loss, node_law, profile_thetas)
 from .rules import DecisionRule
@@ -41,7 +43,7 @@ from .tables import _layout, validate_n, validate_w
 
 MODES = ("extended", "compact")
 _POSET_MODE = {"extended": "extended", "compact": "quotient"}
-ENUMERATION_BOUND = {"extended": 5, "compact": 9}
+ENUMERATION_BOUND = {mode: _POSET_BOUND[pm] for mode, pm in _POSET_MODE.items()}
 DEFAULT_K = 5
 
 
@@ -87,20 +89,8 @@ TABLE_CACHE_SIZE = 4
 def _table(n: int, mode: str) -> tuple:
     """Ascending node indices of each upper set, in bitset order."""
     po = build_poset(n, _POSET_MODE[mode])
-    N = len(po.nodes)
-    # bit N-1-i stands for node i, so ascending masks are in bitset order
-    upper = [1 << (N - 1 - i) for i in range(N)]
-    for i in range(N):
-        for j in po.strictly_above((i,)):
-            upper[i] |= 1 << (N - 1 - j)
-    masks = []
-    for ac in po.antichains():
-        mask = 0
-        for v in ac:
-            mask |= upper[po.index[v]]
-        masks.append(mask)
-    masks.sort()
-    digits = f"0{N}b"
+    digits = f"0{len(po.nodes)}b"
+    masks = sorted(upper for upper, _ in po.upper_sets())
     return tuple(tuple(i for i, bit in enumerate(format(mask, digits)) if bit == "1")
                  for mask in masks)
 

@@ -10,7 +10,6 @@ for that table.
 
 import math
 from fractions import Fraction
-from itertools import product
 
 
 def ordered_tables(n):
@@ -219,15 +218,26 @@ def bisect_g_root(rho, alpha, xi, lo, hi, tol=1e-13):
 
 
 def all_upper_sets(nodes, covers):
-    """Every upper set as a frozenset, brute force."""
+    """Every upper set as a frozenset, by splitting on one node v.
+
+    The upper sets that hold v are the nodes above v joined with an
+    upper set of the order left outside them; those without v are the
+    upper sets of the order left outside the nodes below v.  Each upper
+    set comes out once, and the work follows their number, not 2^N.
+    """
     nodes = list(nodes)
     up = closure_from_covers(nodes, covers)
-    out = []
-    for bits in product((False, True), repeat=len(nodes)):
-        chosen = {v for v, b in zip(nodes, bits) if b}
-        if all(up[v] <= chosen for v in chosen):
-            out.append(frozenset(chosen))
-    return out
+    down = {v: {u for u in nodes if v in up[u]} for v in nodes}
+
+    def split(rest):
+        if not rest:
+            return [frozenset()]
+        v = rest[0]
+        above = up[v]
+        with_v = [frozenset(above) | u for u in split([u for u in rest if u not in above])]
+        return with_v + split([u for u in rest if u not in down[v]])
+
+    return split(nodes)
 
 
 def block_tally(n, state, thetas, trials, seed, block_trials=1 << 16):

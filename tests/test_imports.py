@@ -16,6 +16,9 @@ only a caller that reads classes pays for it.  Likewise only the
 per-voter law derives the layout's cube cells.  The optimal, decide and
 simulate paths read rules off the node layout and build no extended
 poset; only the commands that print or count its order do.
+
+A ``Poset`` is immutable after construction: enumerating, testing and
+ranking on it leave its attributes as they were.
 """
 
 import ast
@@ -182,3 +185,23 @@ def test_the_check_sees_an_extended_poset_built():
     assert extended_posets_built(
         "import dilemma.cli\n"
         "dilemma.cli.run(['hasse', '--n', '5', '--mode', 'extended'])\n") == 1
+
+
+def test_a_poset_stays_immutable():
+    from dilemma import RankingRequest, build_poset, rank_rules
+    from dilemma.poset import MODES
+
+    posets = [build_poset(3, mode) for mode in MODES]
+    before = [dict(vars(po)) for po in posets]
+    for po in posets:
+        list(po.antichains())
+        list(po.upper_sets())
+        top = po.upper_set(po.nodes[:1])
+        po.minimal_elements(top)
+        po.leq(po.nodes[-1], po.nodes[0])
+    for mode in ("extended", "compact"):
+        rank_rules(RankingRequest(3, 0.5, 0.7, mode=mode))
+    assert [build_poset(3, mode) for mode in MODES] == posets
+    for po, was in zip(posets, before):
+        assert vars(po).keys() == was.keys()
+        assert [k for k, v in was.items() if vars(po)[k] is not v] == []

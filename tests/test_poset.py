@@ -242,6 +242,73 @@ def test_antichain_counts_match_brute_force_labelings():
             assert sum(1 for _ in po.antichains()) == want
 
 
+def test_the_upper_set_oracle_matches_brute_force_labelings():
+    for n in (1, 3):
+        for mode in MODES:
+            po = build_poset(n, mode)
+            nodes, covers = [tuple(v) for v in po.nodes], as_pairs(po.covers)
+            up = oracles.closure_from_covers(nodes, covers)
+            uppers = oracles.all_upper_sets(nodes, covers)
+            assert len(set(uppers)) == len(uppers) \
+                == oracles.count_monotone_labelings(nodes, covers)
+            assert all(up[v] <= u for u in uppers for v in u)
+
+
+def decode(po, mask):
+    """Nodes whose bit N-1-i is set, in node order."""
+    N = len(po.nodes)
+    return tuple(tuple(v) for i, v in enumerate(po.nodes) if mask >> (N - 1 - i) & 1)
+
+
+UPPER_SET_CASES = [(n, "extended") for n in (1, 3, 5)] + [
+    (n, mode) for n in (1, 3, 5, 7) for mode in ("quotient", "optimality_reduced")]
+
+
+@pytest.mark.parametrize("n,mode", UPPER_SET_CASES)
+def test_upper_sets_match_the_oracle(n, mode):
+    po = build_poset(n, mode)
+    nodes, covers = [tuple(v) for v in po.nodes], as_pairs(po.covers)
+    up = oracles.closure_from_covers(nodes, covers)
+    got = list(po.upper_sets())
+    assert got[0] == (0, 0)
+    uppers = [frozenset(decode(po, upper)) for upper, _ in got]
+    assert len(set(uppers)) == len(uppers)
+    assert set(uppers) == set(oracles.all_upper_sets(nodes, covers))
+    for u, (_, minimal) in zip(uppers, got):
+        assert decode(po, minimal) == tuple(
+            v for v in nodes if v in u and not any(w != v and v in up[w] for w in u))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_cover_raises_rho_then_lowers_alpha(mode):
+    # the visiting order of upper_sets is a linear extension of the order
+    for n in ODD_N_TO_41:
+        po = build_poset(n, mode)
+        for lo, hi in po.covers:
+            assert (hi.rho, -hi.alpha) > (lo.rho, -lo.alpha), (n, lo, hi)
+
+
+def test_enumeration_and_minimal_elements_search_nothing(monkeypatch):
+    import dilemma.poset
+    from dilemma.ranking import _table
+
+    calls = []
+    search = dilemma.poset.strictly_above
+
+    def counting(up, idxs):
+        calls.append(1)
+        return search(up, idxs)
+
+    monkeypatch.setattr(dilemma.poset, "strictly_above", counting)
+    po = build_poset(5, "quotient")
+    po.minimal_elements(po.nodes)
+    assert sum(1 for _ in po.upper_sets()) == 64
+    assert len(_table.__wrapped__(3, "extended")) == 36
+    assert calls == []
+    po.leq(po.nodes[-1], po.nodes[0])
+    assert calls == [1]
+
+
 def test_antichain_counts_frozen():
     def count(n, mode):
         return sum(1 for _ in build_poset(n, mode).antichains())

@@ -260,6 +260,20 @@ def test_forced_table_ranking_matches_the_antichain_scan(n, mode):
                                  mode=mode, k=8, force=True))
 
 
+# SHA-256 of repr of the upper-set table, recorded before the table was
+# read off Poset.upper_sets
+TABLE_DIGESTS = {
+    (5, "extended"): "3676ad6ebdd75d7aa46f436ed6e97fbea4ce3d85a21cba7b13e337093d2d846e",
+    (9, "compact"): "093a1460a70587dbe2abdef7911b90974757474a0ab4354a60f51b9f4456098f",
+}
+
+
+@pytest.mark.parametrize("n, mode", sorted(TABLE_DIGESTS))
+def test_upper_set_table_is_byte_identical(n, mode):
+    rows = _table(n, mode)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == TABLE_DIGESTS[n, mode]
+
+
 def test_upper_set_tables_stay_within_the_cache_bound():
     for mode, ns in (("extended", (1, 3, 5)), ("compact", (1, 3, 5, 7, 9))):
         for n in ns:
