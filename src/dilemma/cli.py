@@ -83,16 +83,12 @@ def _cmd_optimal(args) -> int:
         rule = ranked[0].rule
     ev = loss(rule, args.w, profile)
     classes = rule.positive_classes() if rule.is_class_constant() else None
-    class_antichain = None
-    if classes is not None:
-        qp = build_poset(args.n, "quotient")
-        class_antichain = qp.minimal_elements(classes) if classes else ()
     if args.format == "json":
         _print_json({
             "n": args.n, "w": args.w, "thetas": thetas,
             "antichain_tables": [list(T) for T in rule.antichain],
-            "antichain_classes": None if class_antichain is None
-                                 else [list(c) for c in class_antichain],
+            "antichain_classes": None if classes is None
+                                 else [list(c) for c in rule.minimal_classes()],
             "classes": None if classes is None else [list(c) for c in classes],
             "p_fp": ev.p_fp, "p_fn": ev.p_fn, "loss": ev.loss,
         })
@@ -102,7 +98,7 @@ def _cmd_optimal(args) -> int:
     if classes is not None:
         print("classes: " + (" ".join(_fmt_tuple(c) for c in classes) or "(none)"))
         print("antichain (classes): "
-              + (" ".join(_fmt_tuple(c) for c in class_antichain) or "(empty)"))
+              + (" ".join(_fmt_tuple(c) for c in rule.minimal_classes()) or "(empty)"))
     print("antichain (tables): "
           + (" ".join(_fmt_tuple(T) for T in rule.antichain) or "(empty)"))
     print(f"p_fp={_sig(ev.p_fp, d)} p_fn={_sig(ev.p_fn, d)} loss={_sig(ev.loss, d)}")

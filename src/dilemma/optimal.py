@@ -26,8 +26,8 @@ which classes leave the optimal rule as competence grows.
 
 The test runs over a list of classes with eta and the threshold
 xi = 2 * (1 - w) / w computed once: optimal_rule over every class of
-the cached node layout, the rule being the union of the good classes'
-node indices, and is_good and pb_optimal over one class each.
+the cached node layout, the rule being the union of the good classes
+(certified on the classes), and is_good and pb_optimal over one each.
 """
 
 from __future__ import annotations
@@ -227,9 +227,7 @@ def optimal_rule(n: int, w, theta) -> DecisionRule:
     w = validate_w(w)
     theta = validate_theta(theta, goodness=True)
     # the goodness test of is_good, run once over the layout's classes
-    groups = _layout(n).groups
-    good = _good(groups, w, theta)
-    rule = DecisionRule._of(n, frozenset(i for c in good for i in groups[c]))
+    rule = DecisionRule._of_classes(n, _good(_layout(n).groups, w, theta))
     if not rule.admissible:
         raise StructuralError(f"good classes at n = {n} do not form an upper set")
     return rule

@@ -31,7 +31,7 @@ set is an upper set when it holds its members' upper covers, and its
 minimal members are those no member covers.  Closures take one upward
 search over the covers, ``strictly_above``, in O(nodes + covers):
 ``upper_set``, ``leq`` and ``comparable`` here, and the rules of
-``dilemma.rules``, whose positive sets need not be upper sets.
+``dilemma.rules`` given by their tables.
 
 A ``Poset`` stores upper-cover indices only and derives ``covers`` from them.
 Posets are immutable after construction and safe to share across

@@ -136,8 +136,8 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
     if request.mode == "extended":
         fp_c, fn_c = law_fp.mass, law_fn.mass
     else:
-        # extended node indices of each class, in the quotient's node order
-        members = tuple(_layout(n).groups.values())
+        # the classes in the quotient's node order, with their extended node indices
+        classes, members = zip(*_layout(n).groups.items())
 
         # class weights add each member's two tables in turn, in node order
         def class_mass(law):
@@ -154,7 +154,6 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
     best = heapq.nsmallest(request.k, _scored(rows, fp_c, fn_c, w))
 
     classical = _classical_indices(n)
-    po = build_poset(n, _POSET_MODE[request.mode])
     ranked = []
     for rank, (_, _, r) in enumerate(best, start=1):
         row = rows[r]
@@ -162,8 +161,8 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
             rule = DecisionRule._of(n, frozenset(row))
             ac = rule.antichain
         else:
-            ac = po.minimal_elements([po.nodes[c] for c in row])
-            rule = DecisionRule._of(n, frozenset(j for c in row for j in members[c]))
+            rule = DecisionRule._of_classes(n, [classes[c] for c in row])
+            ac = rule.minimal_classes()
         ranked.append(RankedRule(rank, ac, _classical_name(rule, classical), rule,
                                  loss(rule, w, profile)))
     return ranked

@@ -9,15 +9,17 @@ admissible when its positive set is also upward closed in the single
 ballot shift order: shifting any voter toward the premisses never
 flips a yes back to a no.  Admissible rules are exactly the upper sets
 of the extended poset, encoded compactly by their antichain of minimal
-positive tables; one upward search over the layout's covers finds both,
-and only ``from_antichain`` builds the extended poset itself.
+positive tables; a set of tables gets both from one upward search over
+the layout's covers.
 
-The classes (rho, alpha) of the nodes are read off the class grouping
-of the same layout: the classes in descending (rho, alpha), each with
-its ascending node indices.  ``from_classes`` takes the union of the
-groups, ``positive_classes`` keeps the classes whose groups meet the
-accepted indices, and ``is_class_constant`` tests that each of those
-groups is accepted whole.
+The classes (rho, alpha) come from the layout's class grouping: the
+classes in descending (rho, alpha), each with its ascending node
+indices.  A union of classes is an upper set when it holds the upper
+neighbours (rho+1, alpha+-1) of its classes, and its minimal tables
+are then the members of its classes with no lower neighbour (rho-1,
+alpha+-1) in it; ``minimal_classes`` are their classes.
+``positive_classes`` keeps the classes whose groups meet the indices;
+``is_class_constant`` tests that each is accepted whole.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ class DecisionRule:
         return cls(n, idxs, minimal, above <= idxs)
 
     @classmethod
+    def _of_classes(cls, n: int, classes) -> "DecisionRule":
+        """The union of the groups of ``classes``, certified class by class
+        when it is an upper set of classes and by ``_of`` otherwise."""
+        groups, have = _layout(n).groups, set(classes)
+        idxs = frozenset(i for c in have for i in groups[c])
+        if any((r + 1, a + 1) not in have and (r + 1, a + 1) in groups
+               or (r + 1, a - 1) not in have and (r + 1, a - 1) in groups for r, a in have):
+            return cls._of(n, idxs)
+        low = sorted(i for r, a in have
+                     if (r - 1, a + 1) not in have and (r - 1, abs(a - 1)) not in have
+                     for i in groups[r, a])
+        return cls(n, idxs, tuple(_layout(n).tables[i] for i in low), True)
+
+    @classmethod
     def from_tables(cls, n: int, tables) -> "DecisionRule":
         return cls._of(n, frozenset(map(_layout(validate_n(n)).node, tables)))
 
@@ -55,8 +71,7 @@ class DecisionRule:
 
     @classmethod
     def from_classes(cls, n: int, classes) -> "DecisionRule":
-        groups = _layout(validate_n(n)).groups
-        return cls._of(n, frozenset(i for c in classes for i in groups[validate_class(c, n)]))
+        return cls._of_classes(validate_n(n), [validate_class(c, n) for c in classes])
 
     @classmethod
     def from_predicate(cls, n: int, predicate) -> "DecisionRule":
@@ -82,6 +97,11 @@ class DecisionRule:
         idxs = self.indices
         return tuple(c for c, group in _layout(self.n).groups.items()
                      if not idxs.isdisjoint(group))
+
+    def minimal_classes(self) -> tuple:
+        """Classes of the antichain: the minimal classes of a class-constant upper set."""
+        low = {(T.rho, T.alpha) for T in self.antichain}
+        return tuple(c for c in _layout(self.n).groups if c in low)
 
     def is_class_constant(self) -> bool:
         """True when the verdict depends on the table only through its class."""

@@ -15,7 +15,12 @@ building the extended poset leaves the layout's class grouping unbuilt:
 only a caller that reads classes pays for it.  Likewise only the
 per-voter law derives the layout's cube cells.  The optimal, decide and
 simulate paths read rules off the node layout and build no extended
-poset; only the commands that print or count its order do.
+poset; only the commands that print or count its order do.  A
+homogeneous optimal rule, and any other union of classes that is an
+upper set, is certified on its classes: the optimal, decide and
+simulate paths on such rules build no poset of any mode and leave the
+layout's upper covers underived, which a rule given by its tables (the
+premiss-wise rule of ``simulate --rule pb``) still derives.
 
 A ``Poset`` is immutable after construction: enumerating, testing and
 ranking on it leave its attributes as they were.
@@ -156,8 +161,9 @@ def test_the_check_sees_the_cube_cells_derived():
         " '0.6,0.65,0.7,0.75,0.8', '--mode', 'compact', '--k', '3'])\n", 5, "cells")
 
 
-def extended_posets_built(code: str) -> int:
-    """Extended posets constructed by running code in a fresh process."""
+def posets_built(code: str, mode: str | None = None) -> int:
+    """Posets of the given mode, or of any mode, constructed by running
+    code in a fresh process."""
     counted = ("from dilemma.poset import Poset\n"
                "built = []\n"
                "init = Poset.__init__\n"
@@ -165,12 +171,12 @@ def extended_posets_built(code: str) -> int:
                "    built.append(mode)\n"
                "    init(self, n, mode, *args)\n"
                "Poset.__init__ = counting\n"
-               + code + "print(built.count('extended'))\n")
+               + code + f"print(len([m for m in built if {mode!r} in (None, m)]))\n")
     return int(run_fresh(counted))
 
 
 def test_the_rule_paths_build_no_extended_poset():
-    assert extended_posets_built(
+    assert posets_built(
         "import dilemma, dilemma.cli\n"
         "run = dilemma.cli.run\n"
         "run(['optimal', '--n', '21', '--w', '0.5', '--theta', '0.7'])\n"
@@ -178,13 +184,39 @@ def test_the_rule_paths_build_no_extended_poset():
         " '--table', '11,5,3,2'])\n"
         "run(['simulate', '--n', '21', '--theta', '0.7', '--state', 'PQ',"
         " '--trials', '1000', '--seed', '1', '--rule', 'pb'])\n"
-        "dilemma.loss(dilemma.classical_rule('pb', 9), 0.5, 0.7)\n") == 0
+        "dilemma.loss(dilemma.classical_rule('pb', 9), 0.5, 0.7)\n", "extended") == 0
 
 
 def test_the_check_sees_an_extended_poset_built():
-    assert extended_posets_built(
+    assert posets_built(
         "import dilemma.cli\n"
-        "dilemma.cli.run(['hasse', '--n', '5', '--mode', 'extended'])\n") == 1
+        "dilemma.cli.run(['hasse', '--n', '5', '--mode', 'extended'])\n", "extended") == 1
+
+
+# homogeneous rules are unions of classes, certified on the classes
+CLASS_RULE_PATHS = (
+    "import dilemma, dilemma.cli\n"
+    "run = dilemma.cli.run\n"
+    "run(['optimal', '--n', '21', '--w', '0.5', '--theta', '0.7'])\n"
+    "run(['decide', '--n', '21', '--w', '0.5', '--theta', '0.7', '--table', '11,5,3,2'])\n"
+    "run(['simulate', '--n', '21', '--theta', '0.7', '--state', 'PQ',"
+    " '--trials', '1000', '--seed', '1', '--rule', 'optimal'])\n"
+    "dilemma.DecisionRule.from_classes(21, [(21, 0), (20, 1), (19, 0), (19, 2)])\n")
+
+
+def test_the_class_rule_paths_derive_no_covers_and_build_no_poset():
+    assert posets_built(CLASS_RULE_PATHS) == 0
+    assert not layout_holds(CLASS_RULE_PATHS, 21, "up")
+
+
+def test_the_check_sees_a_poset_built_and_the_covers_derived():
+    assert posets_built(
+        "import dilemma.cli\n"
+        "dilemma.cli.run(['hasse', '--n', '5', '--mode', 'quotient'])\n") == 1
+    assert layout_holds(
+        "import dilemma.cli\n"
+        "dilemma.cli.run(['simulate', '--n', '21', '--theta', '0.7', '--state', 'PQ',"
+        " '--trials', '1000', '--seed', '1', '--rule', 'pb'])\n", 21, "up")
 
 
 def test_a_poset_stays_immutable():

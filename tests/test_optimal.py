@@ -349,7 +349,8 @@ def test_optimal_rule_validation():
 
 def test_optimal_rule_rejects_an_inadmissible_rule(monkeypatch):
     bad = DecisionRule.from_tables(3, [(1, 1, 1, 0)])
-    monkeypatch.setattr(DecisionRule, "_of", classmethod(lambda cls, n, idxs: bad))
+    monkeypatch.setattr(DecisionRule, "_of_classes",
+                        classmethod(lambda cls, n, classes: bad))
     with pytest.raises(StructuralError, match="upper set"):
         optimal_rule(3, 0.5, 0.6)
 

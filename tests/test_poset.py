@@ -156,6 +156,37 @@ def test_quotient_order_is_compatible_with_extended_order():
                     assert quo.leq(ca, TableClass(b.rho, b.alpha))
 
 
+@pytest.mark.parametrize("n", [*ODD_N_TO_41, 99])
+def test_quotient_covers_are_the_class_pairs_of_the_table_covers(n):
+    """Every table cover joins a quotient cover, every quotient cover is
+    joined, and every member of a class covers a table of each lower
+    neighbour (rho-1, alpha+-1) that occurs: no other table may stand in
+    for a class in an upper set."""
+    layout = _layout(n)
+    of = [(T.rho, T.alpha) for T in layout.tables]
+    joined = {(of[i], of[j]) for i, js in enumerate(layout.up) for j in js}
+    assert joined == as_pairs(build_poset(n, "quotient").covers)
+    below = [set() for _ in of]
+    for i, js in enumerate(layout.up):
+        for j in js:
+            below[j].add(of[i])
+    for (r, a), idxs in layout.groups.items():
+        lower = {d for d in ((r - 1, a + 1), (r - 1, abs(a - 1))) if d in layout.groups}
+        assert all(below[i] == lower for i in idxs), (n, r, a)
+
+
+@pytest.mark.parametrize("n", (1, 3, 5, 7, 9))
+def test_the_minimal_tables_of_a_class_upper_set_fill_its_minimal_classes(n):
+    quo, ext = build_poset(n, "quotient"), build_poset(n, "extended")
+    groups = _layout(n).groups
+    for chain in quo.antichains():
+        upper = quo.upper_set(chain)
+        low = quo.minimal_elements(upper)
+        minimal = ext.minimal_elements([ext.nodes[i] for c in upper for i in groups[c]])
+        assert minimal == tuple(ext.nodes[i] for i in sorted(i for c in low for i in groups[c]))
+        assert {TableClass(T.rho, T.alpha) for T in minimal} == set(low)
+
+
 def test_comparable():
     po = build_poset(3, "optimality_reduced")
     assert not po.comparable(TableClass(-1, 0), TableClass(0, 3))

@@ -150,6 +150,58 @@ def test_optimal_antichain_at_99_matches_the_extended_poset(w, theta):
     rule = optimal_rule(99, w, theta)
     assert rule.admissible
     assert rule.antichain == build_poset(99).minimal_elements(rule.positives)
+    low = build_poset(99, "quotient").minimal_elements(rule.positive_classes())
+    assert {table_class(T) for T in rule.antichain} == set(low)
+    assert rule.minimal_classes() == low
+
+
+@functools.lru_cache(maxsize=None)
+def class_closure(n):
+    return oracles.closure_from_covers(oracles.classes(n), oracles.quotient_covers(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(1, 22, 2)), st.data())
+def test_a_union_of_classes_is_certified_on_its_classes(n, data):
+    """The class-local certificate gives the fields of the search over
+    the member tables: on the empty set, on sets holding the bottom class
+    (-n, 0), which has no lower neighbour, and on sets that are not
+    upper sets, which it hands to the search."""
+    classes = set(data.draw(st.lists(st.sampled_from(oracles.classes(n)), max_size=12)))
+    if data.draw(st.booleans()):
+        classes.add((-n, 0))
+    if data.draw(st.booleans()):
+        classes = set().union(*(class_closure(n)[c] for c in classes))
+    groups = _layout(n).groups
+    got = DecisionRule._of_classes(n, [TableClass(*c) for c in classes])
+    want = DecisionRule._of(n, frozenset(i for c in classes for i in groups[c]))
+    assert got.indices == want.indices
+    assert got.antichain == want.antichain
+    assert got.admissible == want.admissible
+
+
+def test_class_unions_run_no_search(monkeypatch):
+    import dilemma.rules
+    from dilemma import RankingRequest, rank_rules
+
+    calls = []
+    search = dilemma.rules.strictly_above
+
+    def counting(up, idxs):
+        calls.append(1)
+        return search(up, idxs)
+
+    for kind in ("pb", "cb", "hb"):
+        classical_rule(kind, 9)  # named in the ranking, and built by a search
+    monkeypatch.setattr(dilemma.rules, "strictly_above", counting)
+    optimal_rule(21, 0.5, 0.7)
+    assert DecisionRule.from_classes(21, [(21, 0), (20, 1), (19, 0), (19, 2)]).admissible
+    ranked = rank_rules(RankingRequest(9, 0.3, (0.6, 0.7, 0.8) * 3, mode="compact", k=20))
+    assert len(ranked) == 20
+    assert calls == []
+    # a union that is not an upper set goes to the search
+    assert not DecisionRule.from_classes(21, [(19, 0)]).admissible
+    assert calls == [1]
 
 
 def test_from_predicate():
