@@ -36,12 +36,11 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .errors import InvalidParameterError, StructuralError
 from .rules import DecisionRule
-from .tables import (TableClass, _as_float, _layout, table_class, validate_class,
-                     validate_n, validate_theta, validate_w)
+from .tables import (TableClass, _as_float, _layout, per_size, table_class,
+                     validate_class, validate_n, validate_theta, validate_w)
 
 # |G(eta_star) - xi| below this band is reported as a degenerate
 # tangency instead of guessing zero or two crossings
@@ -250,12 +249,14 @@ def pb_optimal_sufficient(w, theta) -> bool:
 
 
 _CLASSICAL = {
-    # premiss-wise: majority on P and majority on Q
-    "pb": lambda T: T.x + T.y > T.z + T.t and T.x + T.z > T.y + T.t,
+    # premiss-wise, majority on P and on Q: x - t > |y - z|, the type-b classes
+    "pb": lambda n: DecisionRule._of_classes(
+        n, [c for c in _layout(n).groups if c.rho > c.alpha]),
     # conclusion-wise: majority of voters accept both premisses
-    "cb": lambda T: T.x > T.y + T.z + T.t,
+    "cb": lambda n: DecisionRule.from_predicate(n, lambda T: T.x > T.y + T.z + T.t),
     # both mixed margins: between the two above
-    "hb": lambda T: T.x > T.z + T.t and T.x > T.y + T.t,
+    "hb": lambda n: DecisionRule.from_predicate(
+        n, lambda T: T.x > T.z + T.t and T.x > T.y + T.t),
 }
 
 
@@ -265,13 +266,13 @@ def classical_rule(kind: str, n: int) -> DecisionRule:
         raise InvalidParameterError(
             f"kind must be one of {sorted(_CLASSICAL)}, got {kind!r}")
     # validated before the cache, which would take True for 1
-    return _classical_rule(kind, validate_n(n))
+    return _classical_rule(validate_n(n), kind)
 
 
-# three kinds at a few committee sizes; rules are immutable, so sharing is safe
-@lru_cache(maxsize=12)
-def _classical_rule(kind: str, n: int) -> DecisionRule:
-    return DecisionRule.from_predicate(n, _CLASSICAL[kind])
+# rules are immutable, so sharing is safe
+@per_size
+def _classical_rule(n: int, kind: str) -> DecisionRule:
+    return _CLASSICAL[kind](n)
 
 
 def pb_region(n: int, resolution: int = 100):

@@ -40,11 +40,10 @@ threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidParameterError, StructuralError
-from .tables import _layout, enumerate_classes, validate_n
+from .tables import _layout, enumerate_classes, per_size, validate_n
 
 MODES = ("extended", "quotient", "optimality_reduced")
 # largest n whose upper sets are listed unforced (768 extended at n = 5)
@@ -188,18 +187,13 @@ def build_poset(n: int, mode: str = "extended") -> Poset:
     return _build_poset(n, mode)
 
 
-@lru_cache(maxsize=12)  # each mode at as many sizes as the layout cache holds
+@per_size
 def _build_poset(n: int, mode: str) -> Poset:
     if mode == "extended":
         layout = _layout(n)
         return Poset(n, mode, layout.tables, layout.up)
     nodes = enumerate_classes(n)
     return Poset(n, mode, nodes, _class_up(n, mode, nodes))
-
-
-# the cache stays inspectable from the public name
-build_poset.cache_info = _build_poset.cache_info
-build_poset.cache_clear = _build_poset.cache_clear
 
 
 def max_antichain_size(n: int, mode: str = "extended") -> int:

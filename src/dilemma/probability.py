@@ -13,10 +13,11 @@ committee each entry is the multinomial count times theta**a *
 (1-theta)**b, with the counts computed once per n as exact integers
 converted late; per-voter competences are convolved ballot by ballot
 over a numpy (x, y, z) cube and read off at the cube cells of the
-shared node layout (``dilemma.tables``).  Laws live in an LRU cache of
-LAW_CACHE_SIZE entries keyed by the profile, so a theta sweep or a long
-stream of committees keeps memory flat.  ``table_law`` is an
-ordered-table dict view of the same numbers for tests and oracles.
+shared node layout (``dilemma.tables``), which keeps the counts.  Laws
+live in an LRU cache of LAW_CACHE_SIZE entries keyed by the profile, so
+a theta sweep or a long stream of committees keeps memory flat.
+``table_law`` is an ordered-table dict view of a law, built per call for
+tests and oracles; ``table_prob`` reads one entry of the law.
 
 False positives weigh the positive tables under PnQ (by symmetry nPQ
 gives the same number for any rule considered here); false negatives
@@ -37,8 +38,8 @@ from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .rules import DecisionRule
-from .tables import (_layout, ordered_tables, validate_n, validate_table,
-                     validate_theta, validate_w)
+from .tables import (_layout, ordered_tables, per_size, validate_n,
+                     validate_table, validate_theta, validate_w)
 
 
 class State(Enum):
@@ -164,7 +165,7 @@ class NodeLaw(NamedTuple):
     mass: tuple
 
 
-@lru_cache(maxsize=4)
+@per_size
 def _terms(n: int):
     """float(multinomial(T)) per node; state -> (canon, trans) theta exponents."""
     comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
@@ -247,30 +248,23 @@ def node_law(n: int, state, profile) -> NodeLaw:
     return _node_law(n, *_law_key(n, state, profile))
 
 
-@lru_cache(maxsize=4)
-def _table_law(n: int, state: State, profile: Profile) -> dict:
-    law = _node_law(n, state, profile)
-    probs = {}
-    for T, c, t in zip(_layout(n).tables, law.canon, law.trans):
-        probs[T] = c
-        if T.y != T.z:
-            probs[T.transpose()] = t
-    return {T: probs[T] for T in ordered_tables(n)}
-
-
 def table_law(n: int, state, profile) -> dict:
     """Probability of every ordered table under one state, as a dict.
 
-    A view of node_law for tests and oracles; the loss layer never
-    builds it.
+    A view of node_law for tests and oracles, built on each call; the
+    loss layer never builds it.
     """
-    return _table_law(n, *_law_key(n, state, profile))
+    law, tables = node_law(n, state, profile), _layout(n).tables
+    probs = dict(zip(tables, law.canon))
+    probs.update((T.transpose(), t) for T, t in zip(tables, law.trans) if T.y != T.z)
+    return {T: probs[T] for T in ordered_tables(n)}
 
 
 def table_prob(table, state, profile) -> float:
     """Probability of one ordered table under a state of nature."""
     T = validate_table(table)
-    return table_law(T.n, state, profile)[T]
+    law = node_law(T.n, state, profile)
+    return (law.canon if T.is_canonical() else law.trans)[_layout(T.n).node(T)]
 
 
 def positive_mass(rule: DecisionRule, state, profile) -> float:
@@ -300,9 +294,9 @@ def rule_fp_bayes(rule: DecisionRule, profile, prior: NegativePrior) -> float:
     if not isinstance(prior, NegativePrior):
         prior = NegativePrior(*prior)
     weights = (prior.pnq, prior.npq, prior.npnq)
-    tn = math.fsum(wgt * negative_mass(rule, state, profile)
-                   for state, wgt in zip(NEGATIVE_STATES, weights))
-    return 1.0 - tn
+    # a sum of positive terms, not 1 - P(no): small values keep their digits
+    return math.fsum(wgt * positive_mass(rule, state, profile)
+                     for state, wgt in zip(NEGATIVE_STATES, weights))
 
 
 def loss(rule: DecisionRule, w, profile) -> RuleEvaluation:

@@ -9,9 +9,10 @@ above the poset's enumeration bound, n = 5 (extended) or n = 9
 
 The upper sets do not depend on the profile or on w.  For each (n,
 mode) they are listed once, as ascending tuples of node indices, in a
-table kept in an LRU cache of TABLE_CACHE_SIZE entries; the first query of
-an (n, mode) builds it by sorting the upper-set bitmasks that
-``Poset.upper_sets`` yields, which puts the rows in bitset order.  A
+table that the size-n node layout keeps and drops (``per_size`` in
+``dilemma.tables``); the first query of an (n, mode) builds it by
+sorting the upper-set bitmasks that ``Poset.upper_sets`` yields,
+which puts the rows in bitset order.  A
 query then costs the profile's two node laws and one pass over the
 table (768 rows at n = 5 extended, 1,024 at n = 9 compact): each
 row's false positive and missed mass are summed term by term in node
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidParameterError
 from .optimal import classical_rule
@@ -39,7 +39,7 @@ from .poset import ENUMERATION_BOUND as _POSET_BOUND, build_poset
 from .probability import (Homogeneous, PerVoter, RuleEvaluation, State,
                           as_profile, loss, node_law, profile_thetas)
 from .rules import DecisionRule
-from .tables import _layout, validate_n, validate_w
+from .tables import _layout, per_size, validate_n, validate_w
 
 MODES = ("extended", "compact")
 _POSET_MODE = {"extended": "extended", "compact": "quotient"}
@@ -82,10 +82,7 @@ def evaluate_rule(rule: DecisionRule, w, profile) -> RankedRule:
     return RankedRule(None, rule.antichain, name, rule, loss(rule, w, profile))
 
 
-TABLE_CACHE_SIZE = 4
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
+@per_size
 def _table(n: int, mode: str) -> tuple:
     """Ascending node indices of each upper set, in bitset order."""
     po = build_poset(n, _POSET_MODE[mode])

@@ -15,6 +15,9 @@ One node layout per committee size, from one walk over (rho, x, y) and
 kept in an LRU cache of 4 entries, owns the nodes for every module: the
 tables in node order and the run starts, which give a table's node in
 closed form and, on first use, the class grouping, covers and cells.
+What the other modules derive from n alone (posets, classical rules,
+law terms, rank tables) is kept in the layout by ``per_size``, so its
+bound is the only one on per-size data and nothing outlives it.
 
 The validators of the scalar parameters (committee size n, loss
 weight w, competence theta) live here too, one per parameter.
@@ -23,7 +26,7 @@ weight w, competence theta) live here too, one per parameter.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError
@@ -181,7 +184,7 @@ class _Layout:
                 runs.append(len(tables))
                 t, s = x - rho, n - 2 * x + rho
                 tables.extend(VoteTable(x, y, s - y, t) for y in range(s, (s - 1) // 2, -1))
-        self.n, self.tables = n, tuple(tables)
+        self.n, self.tables, self.derived = n, tuple(tables), {}
 
     @cached_property
     def groups(self) -> dict:
@@ -243,6 +246,17 @@ class _Layout:
 
 
 _layout = lru_cache(maxsize=4)(_Layout)
+
+
+def per_size(make):
+    """Keep make(n, *args), never None, in the size-n layout; n must be valid."""
+    @wraps(make)
+    def cached(n, *args):
+        derived = _layout(n).derived
+        if (value := derived.get((make, args))) is None:
+            value = derived[make, args] = make(n, *args)
+        return value
+    return cached
 
 
 def enumerate_tables(n: int) -> list[VoteTable]:

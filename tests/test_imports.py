@@ -7,7 +7,10 @@ skipped, since its imports are the public re-exports).  The modules
 that add up probabilities make no builtin ``sum`` call: it is
 compensated from Python 3.12 on, so its bits, and the order of exact
 ties, would depend on the interpreter; float totals use ``math.fsum``
-or an explicit loop.
+or an explicit loop.  Module-level memoization (``lru_cache`` or
+``cache``) is left on three names only: the node layout, the node law
+and the argument parser; what derives from a committee size alone is
+kept in that size's layout (``tables.per_size``).
 
 Importing the command line module builds no argument parser: the
 first ``run`` does.  Importing the package builds no node layout, and
@@ -17,10 +20,11 @@ per-voter law derives the layout's cube cells.  The optimal, decide and
 simulate paths read rules off the node layout and build no extended
 poset; only the commands that print or count its order do.  A
 homogeneous optimal rule, and any other union of classes that is an
-upper set, is certified on its classes: the optimal, decide and
-simulate paths on such rules build no poset of any mode and leave the
-layout's upper covers underived, which a rule given by its tables (the
-premiss-wise rule of ``simulate --rule pb``) still derives.
+upper set, is certified on its classes, and so is the premiss-wise
+rule: the optimal, decide and simulate paths on such rules build no
+poset of any mode and leave the layout's upper covers underived, which
+a rule given by its tables (the conclusion-wise rule of ``simulate
+--rule cb``) still derives.
 
 A ``Poset`` is immutable after construction: enumerating, testing and
 ranking on it leave its attributes as they were.
@@ -78,6 +82,43 @@ def test_the_check_sees_a_builtin_sum():
 @pytest.mark.parametrize("path", FLOAT_MODULES)
 def test_no_builtin_sum_in_float_code(path):
     assert builtin_sum_lines((PACKAGE / path).read_text()) == []
+
+
+def _is_memo(node) -> bool:
+    """lru_cache or cache: bare, called with options, or as functools.<name>."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def memoized(source: str) -> list[str]:
+    """Top-level names memoized by lru_cache or cache, as a decorator or
+    through an assigned call."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if any(_is_memo(d) for d in node.decorator_list):
+                names.append(node.name)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and _is_memo(node.value.func)):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_the_check_sees_a_memoized_name():
+    assert memoized("import functools\nfrom functools import cache, lru_cache\n"
+                    "@lru_cache(maxsize=4)\ndef a(n): pass\n"
+                    "@functools.cache\ndef b(): pass\n"
+                    "c = lru_cache(maxsize=2)(C)\n"
+                    "@per_size\ndef d(n): pass\n"
+                    "def e():\n    @cache\n    def f(): pass\n") == ["a", "b", "c"]
+
+
+def test_module_level_memoization_is_left_on_three_names():
+    found = {f"{p.stem}.{name}" for p in PACKAGE.glob("*.py")
+             for name in memoized(p.read_text())}
+    assert found == {"tables._layout", "probability._node_law", "cli._parser"}
 
 
 def run_fresh(code: str) -> str:
@@ -193,7 +234,7 @@ def test_the_check_sees_an_extended_poset_built():
         "dilemma.cli.run(['hasse', '--n', '5', '--mode', 'extended'])\n", "extended") == 1
 
 
-# homogeneous rules are unions of classes, certified on the classes
+# homogeneous rules and pb are unions of classes, certified on the classes
 CLASS_RULE_PATHS = (
     "import dilemma, dilemma.cli\n"
     "run = dilemma.cli.run\n"
@@ -201,6 +242,8 @@ CLASS_RULE_PATHS = (
     "run(['decide', '--n', '21', '--w', '0.5', '--theta', '0.7', '--table', '11,5,3,2'])\n"
     "run(['simulate', '--n', '21', '--theta', '0.7', '--state', 'PQ',"
     " '--trials', '1000', '--seed', '1', '--rule', 'optimal'])\n"
+    "run(['simulate', '--n', '21', '--theta', '0.7', '--state', 'PQ',"
+    " '--trials', '1000', '--seed', '1', '--rule', 'pb'])\n"
     "dilemma.DecisionRule.from_classes(21, [(21, 0), (20, 1), (19, 0), (19, 2)])\n")
 
 
@@ -216,7 +259,7 @@ def test_the_check_sees_a_poset_built_and_the_covers_derived():
     assert layout_holds(
         "import dilemma.cli\n"
         "dilemma.cli.run(['simulate', '--n', '21', '--theta', '0.7', '--state', 'PQ',"
-        " '--trials', '1000', '--seed', '1', '--rule', 'pb'])\n", 21, "up")
+        " '--trials', '1000', '--seed', '1', '--rule', 'cb'])\n", 21, "up")
 
 
 def test_a_poset_stays_immutable():

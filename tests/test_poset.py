@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 import re
+import weakref
 
 import pytest
 
@@ -15,7 +17,7 @@ from dilemma import (
     table_count,
     to_dot,
 )
-from dilemma.poset import MODES
+from dilemma.poset import MODES, Poset
 from dilemma.tables import _layout
 
 # Worked out by hand from the covering moves.
@@ -385,18 +387,24 @@ def test_build_poset_validation_and_caching():
         build_poset(3, "no-such-mode")
 
 
-def test_build_poset_has_one_cache_entry_per_n_and_mode():
-    build_poset.cache_clear()
+def test_build_poset_has_one_cache_entry_per_n_and_mode(monkeypatch):
+    built = []
+    init = Poset.__init__
+
+    def counting(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(Poset, "__init__", counting)
+    _layout.cache_clear()
     a = build_poset(41)
     b = build_poset(41, "extended")
     c = build_poset(41, mode="extended")
     assert a is b is c
-    info = build_poset.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert built == [(41, "extended")]
 
 
 def test_the_extended_poset_reads_its_nodes_and_covers_off_the_layout():
-    build_poset.cache_clear()
     for n in (3, 21, 41):
         po = build_poset(n)
         layout = _layout(n)
@@ -405,12 +413,13 @@ def test_the_extended_poset_reads_its_nodes_and_covers_off_the_layout():
 
 
 def test_the_poset_cache_is_bounded():
-    maxsize = build_poset.cache_info().maxsize
-    assert maxsize is not None
-    for n in range(1, 2 * maxsize, 2):
+    maxsize = _layout.cache_info().maxsize
+    first = weakref.ref(build_poset(1))
+    for n in range(1, 4 * maxsize, 2):
         for mode in MODES:
             build_poset(n, mode)
-    assert build_poset.cache_info().currsize == maxsize
+    gc.collect()
+    assert first() is None
 
 
 def test_to_dot():

@@ -20,6 +20,7 @@ from dilemma import (
     loss,
     negative_mass,
     node_law,
+    optimal_rule,
     positive_mass,
     rule_fn,
     rule_fp,
@@ -30,6 +31,7 @@ from dilemma import (
 )
 from dilemma import probability
 from dilemma.probability import NEGATIVE_STATES, as_state, profile_thetas
+from dilemma.tables import _layout
 
 STATES = ("PQ", "PnQ", "nPQ", "nPnQ")
 
@@ -217,6 +219,39 @@ def test_rule_fp_bayes():
             rule_fp_bayes(pb, th, bad)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 3, 9, 21)), st.floats(0.5, 1 - 1e-9, exclude_min=True),
+       st.sampled_from(("pb", "cb", "hb", "optimal")), st.booleans())
+@example(21, 0.999, "optimal", False)  # 1 - P(no) gave 0.0 for 3.49e-28 here
+@example(21, 1 - 1e-9, "pb", True)
+def test_rule_fp_bayes_on_pnq_alone_is_rule_fp(n, th, kind, per_voter):
+    rule = optimal_rule(n, 0.5, th) if kind == "optimal" else classical_rule(kind, n)
+    profile = PerVoter(tuple(th ** (1 + i / n) for i in range(n))) if per_voter else th
+    assert rule_fp_bayes(rule, profile, (1, 0, 0)) == rule_fp(rule, profile)
+
+
+def test_table_prob_is_the_table_law_entry():
+    # every ordered table: both orientations, and y == z
+    for n in (1, 3, 5, 7):
+        for profile in (0.7, PerVoter(tuple(0.55 + 0.05 * i for i in range(n)))):
+            for state in STATES:
+                law = table_law(n, state, profile)
+                assert {T: table_prob(T, state, profile) for T in law} == law
+
+
+def test_table_prob_reads_one_entry_of_the_node_law(monkeypatch):
+    law = node_law(99, "PnQ", 0.7)
+
+    def refuse(n):
+        raise AssertionError("table_prob listed the ordered tables")
+
+    monkeypatch.setattr(probability, "ordered_tables", refuse)
+    T = VoteTable(40, 29, 20, 10)
+    node = _layout(99).node(T)
+    assert table_prob(T, "PnQ", 0.7) == law.canon[node]
+    assert table_prob(T.transpose(), "PnQ", 0.7) == law.trans[node]
+
+
 def test_loss():
     pb = classical_rule("pb", 3)
     ev = loss(pb, 0.3, 0.6)
@@ -233,7 +268,11 @@ def test_mass_is_deterministic_and_cached():
     a = positive_mass(pb, "PnQ", 0.7345)
     b = positive_mass(pb, "PnQ", 0.7345)
     assert a == b
-    assert table_law(5, "PnQ", 0.7345) is table_law(5, "PnQ", 0.7345)
+    first = table_law(5, "PnQ", 0.7345)
+    misses = probability._node_law.cache_info().misses
+    again = table_law(5, "PnQ", 0.7345)
+    assert list(again.items()) == list(first.items())
+    assert probability._node_law.cache_info().misses == misses
     # the cache is keyed by the profile: a float and its Homogeneous share
     # one law, and the equal per-voter profile keeps its own
     law = node_law(5, "PnQ", 0.7)

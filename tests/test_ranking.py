@@ -23,7 +23,8 @@ from dilemma import (
     ranking_record,
 )
 from dilemma.cli import run
-from dilemma.ranking import ENUMERATION_BOUND, TABLE_CACHE_SIZE, _table
+from dilemma.ranking import ENUMERATION_BOUND, _table
+from dilemma.tables import _layout
 
 # SHA-256 prefixes of `dilemma rank --format json` then `--format text
 # --precision 17` stdout, recorded before the rankings read the per-node
@@ -275,9 +276,12 @@ def test_upper_set_table_is_byte_identical(n, mode):
 
 
 def test_upper_set_tables_stay_within_the_cache_bound():
+    # a table is kept by its size's node layout, and dropped with it
+    first = _table(1, "compact")
     for mode, ns in (("extended", (1, 3, 5)), ("compact", (1, 3, 5, 7, 9))):
         for n in ns:
             rank_rules(RankingRequest(n, 0.5, 0.6, mode=mode, k=1))
-            info = _table.cache_info()
-            assert info.maxsize == TABLE_CACHE_SIZE
-            assert info.currsize <= TABLE_CACHE_SIZE
+            assert _table(n, mode) is _table(n, mode)
+    assert _layout.cache_info().maxsize == 4  # sizes 3 to 9 evict size 1
+    again = _table(1, "compact")
+    assert again == first and again is not first

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,9 +9,11 @@ from dilemma import (
     InvalidParameterError,
     TableClass,
     VoteTable,
+    build_poset,
     canonical,
     class_count,
     class_members,
+    classical_rule,
     enumerate_classes,
     enumerate_tables,
     multinomial,
@@ -17,6 +22,8 @@ from dilemma import (
     transpose,
     whitney_numbers,
 )
+from dilemma.poset import MODES
+from dilemma.ranking import _table
 from dilemma.tables import (
     _layout,
     class_sort_key,
@@ -89,6 +96,25 @@ def test_mutating_an_enumeration_leaves_the_cache_intact():
     cls.reverse()
     assert [tuple(T) for T in enumerate_tables(3)] == oracles.canonical_tables(3)
     assert [tuple(c) for c in enumerate_classes(3)] == oracles.classes(3)
+
+
+def test_what_a_size_derives_lives_and_dies_with_its_layout():
+    # n = 9 is the largest size with an unforced compact rank table
+    n = 9
+    derived = ([build_poset(n, mode) for mode in MODES]
+               + [classical_rule(kind, n) for kind in ("pb", "cb", "hb")])
+    refs = [weakref.ref(v) for v in derived]
+    rows = _table(n, "compact")
+    del derived
+    for m in (1, 3, 5, 7):  # evict size 9
+        _layout(m)
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    po = build_poset(n)
+    assert po.nodes is _layout(n).tables
+    assert po._up is _layout(n).up
+    again = _table(n, "compact")
+    assert again == rows and again is not rows
 
 
 def test_class_members_partition_tables():
