@@ -65,10 +65,13 @@ def _as_class(cls_or_table) -> TableClass:
 
 
 def classify(cls_or_table) -> TableType:
-    c = _as_class(cls_or_table)
-    if c.rho <= 0:
+    return _type(*_as_class(cls_or_table))
+
+
+def _type(rho: int, alpha: int) -> TableType:
+    if rho <= 0:
         return TableType.A
-    if c.rho > c.alpha:
+    if rho > alpha:
         return TableType.B
     # rho == +-alpha is ruled out by the parity check in validate_class
     return TableType.C
@@ -94,9 +97,13 @@ def g_eval(cls_or_table, eta) -> float:
 def eta_star(cls_or_table) -> float:
     """Location of the minimum of G; only type-c classes have one."""
     c = _as_class(cls_or_table)
-    if classify(c) is not TableType.C:
+    if _type(*c) is not TableType.C:
         raise InvalidParameterError(f"class {tuple(c)} is not type c")
-    return ((c.alpha + c.rho) / (c.alpha - c.rho)) ** (1.0 / (2 * c.alpha))
+    return _eta_star(*c)
+
+
+def _eta_star(rho: int, alpha: int) -> float:
+    return ((alpha + rho) / (alpha - rho)) ** (1.0 / (2 * alpha))
 
 
 def _xi(w: float) -> float:
@@ -176,15 +183,16 @@ def goodness_intervals(cls_or_table, w, tol: float = 1e-12) -> GoodnessProfile:
     where theta already rounds to 1, so every window end stays finite.
     """
     c = _as_class(cls_or_table)
-    kind = classify(c)
-    w = validate_w(w)
     rho, alpha = c
+    kind = _type(rho, alpha)
+    w = validate_w(w)
     xi = _xi(w)
     eta_a = None if kind is TableType.B else min(xi ** (1.0 / (alpha - rho)), ETA_MAX)
 
+    # the class is validated once, above: every step reads G directly
     def f(eta):
         # the bracket may start at the open end of the domain; G -> 2 there
-        g = 2.0 if eta == 1.0 else g_eval(c, eta)
+        g = 2.0 if eta == 1.0 else _g(rho, alpha, eta)
         return g - xi
 
     degenerate = False
@@ -202,12 +210,12 @@ def goodness_intervals(cls_or_table, w, tol: float = 1e-12) -> GoodnessProfile:
             eta0 = _bisect(f, 1.0, hi, tol)
             intervals = ((_theta_of(eta0), 1.0),)
     else:
-        es = eta_star(c)
+        es = _eta_star(rho, alpha)
         if w <= 0.5:
             eta0 = _bisect(f, es, eta_a, tol)
             intervals = ((0.5, _theta_of(eta0)),)
         else:
-            gap = g_eval(c, es) - xi
+            gap = _g(rho, alpha, es) - xi
             if abs(gap) <= TANGENCY_BAND:
                 intervals = ()
                 degenerate = True

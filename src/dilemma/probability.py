@@ -294,9 +294,10 @@ def rule_fp_bayes(rule: DecisionRule, profile, prior: NegativePrior) -> float:
     if not isinstance(prior, NegativePrior):
         prior = NegativePrior(*prior)
     weights = (prior.pnq, prior.npq, prior.npnq)
-    # a sum of positive terms, not 1 - P(no): small values keep their digits
+    # a sum of positive terms, not 1 - P(no): small values keep their
+    # digits; a state of weight 0 adds 0.0, so its law is never built
     return math.fsum(wgt * positive_mass(rule, state, profile)
-                     for state, wgt in zip(NEGATIVE_STATES, weights))
+                     for state, wgt in zip(NEGATIVE_STATES, weights) if wgt)
 
 
 def loss(rule: DecisionRule, w, profile) -> RuleEvaluation:

@@ -12,12 +12,17 @@ mode) they are listed once, as ascending tuples of node indices, in a
 table that the size-n node layout keeps and drops (``per_size`` in
 ``dilemma.tables``); the first query of an (n, mode) builds it by
 sorting the upper-set bitmasks that ``Poset.upper_sets`` yields,
-which puts the rows in bitset order.  A
-query then costs the profile's two node laws and one pass over the
-table (768 rows at n = 5 extended, 1,024 at n = 9 compact): each
-row's false positive and missed mass are summed term by term in node
-order, a row's score is w * fp + (1 - w) * (fn_total - missed), and
-only the k best rows are turned into rules.
+which puts the rows in bitset order.
+
+Upper covers have lower node indices in both modes, so a row less its
+last node is an upper set too, and its bitmask is smaller: an earlier
+row, the parent.  The rows form a tree, kept beside the table as each
+row's (parent, last node).  A query then costs the profile's two node
+laws and one pass over the tree per mass (767 edges at n = 5 extended,
+1,023 at n = 9 compact): a row's false positive and missed mass are its
+parent's plus its last node's, which is the term-by-term sum in node
+order with one addition per row.  A row's score is w * fp + (1 - w) *
+(fn_total - missed), and only the k best rows are turned into rules.
 
 Ties are broken deterministically: ascending score, then ascending
 false positive mass, then lexicographic positive-set bitset in node
@@ -92,8 +97,52 @@ def _table(n: int, mode: str) -> tuple:
                  for mask in masks)
 
 
-def _scored(rows, fp_c, fn_c, w):
-    """(score, fp, row number) of every row, each a node-order sum.
+@per_size
+def _tree(n: int, mode: str) -> tuple:
+    """(parent row, last node) of every row after the empty first one.
+
+    Upper covers have lower node indices, so a row less its last node is
+    an upper set too: the parent, an earlier row of the table.
+    """
+    rows = _table(n, mode)
+    where = {row: r for r, row in enumerate(rows)}
+    return tuple((where[row[:-1]], row[-1]) for row in rows[1:])
+
+
+def _masses(n: int, mode: str, profile) -> tuple:
+    """False positive and false negative mass of each node of the mode."""
+    law_fp = node_law(n, State.PnQ, profile)
+    law_fn = node_law(n, State.PQ, profile)
+    if mode == "extended":
+        return law_fp.mass, law_fn.mass
+    # the classes' extended node indices, in the quotient's node order
+    members = _layout(n).groups.values()
+
+    # class weights add each member's two tables in turn, in node order
+    def class_mass(law):
+        out = []
+        for idxs in members:
+            total = 0.0
+            for j in idxs:
+                total += law.canon[j]
+                total += law.trans[j]
+            out.append(total)
+        return out
+
+    return class_mass(law_fp), class_mass(law_fn)
+
+
+def _fold(tree, masses) -> list:
+    """Each row's mass, summed term by term in node order: its parent's
+    sum plus its last node's mass, one addition per row."""
+    out = [0.0]
+    for parent, i in tree:
+        out.append(out[parent] + masses[i])
+    return out
+
+
+def _scored(tree, fp_c, fn_c, w, k) -> list:
+    """(score, fp, row number) of the k best rows, ascending.
 
     Explicit loops, not builtin sum, which is compensated from Python
     3.12 on and would break exact ties differently.
@@ -101,13 +150,11 @@ def _scored(rows, fp_c, fn_c, w):
     fn_total = 0.0
     for m in fn_c:
         fn_total += m
-    for r, row in enumerate(rows):
-        fp = 0.0
-        miss = 0.0
-        for i in row:
-            fp += fp_c[i]
-            miss += fn_c[i]
-        yield w * fp + (1.0 - w) * (fn_total - miss), fp, r
+    fp, miss = _fold(tree, fp_c), _fold(tree, fn_c)
+    scores = [w * f + (1.0 - w) * (fn_total - m) for f, m in zip(fp, miss)]
+    # only rows scoring at most the k-th smallest score can be among them
+    kth = heapq.nsmallest(k, scores)[-1]
+    return sorted((s, fp[r], r) for r, s in enumerate(scores) if s <= kth)[:k]
 
 
 def rank_rules(request: RankingRequest) -> list[RankedRule]:
@@ -127,30 +174,11 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
     profile_thetas(profile, n)  # length check up front
 
     rows = _table(n, request.mode)
-    law_fp = node_law(n, State.PnQ, profile)
-    law_fn = node_law(n, State.PQ, profile)
-
-    if request.mode == "extended":
-        fp_c, fn_c = law_fp.mass, law_fn.mass
-    else:
-        # the classes in the quotient's node order, with their extended node indices
-        classes, members = zip(*_layout(n).groups.items())
-
-        # class weights add each member's two tables in turn, in node order
-        def class_mass(law):
-            out = []
-            for idxs in members:
-                total = 0.0
-                for j in idxs:
-                    total += law.canon[j]
-                    total += law.trans[j]
-                out.append(total)
-            return out
-
-        fp_c, fn_c = class_mass(law_fp), class_mass(law_fn)
-    best = heapq.nsmallest(request.k, _scored(rows, fp_c, fn_c, w))
+    fp_c, fn_c = _masses(n, request.mode, profile)
+    best = _scored(_tree(n, request.mode), fp_c, fn_c, w, request.k)
 
     classical = _classical_indices(n)
+    classes = tuple(_layout(n).groups)  # the quotient's node order
     ranked = []
     for rank, (_, _, r) in enumerate(best, start=1):
         row = rows[r]

@@ -42,6 +42,15 @@ PATH_DIGESTS = (
      "582ef5c2559037d5d118d63a29af5ff8491257f547f84d81c965c21769fb787e"),
 )
 
+# SHA-256 of `dilemma classify` stdout, recorded while the bisection still
+# revalidated the class on every step
+CLASSIFY_DIGESTS = (
+    ("classify --n 99 --w 0.5 --format json",
+     "a440c404087b525434788eef970cf81f1c713dbc97b4e8223f7134018a939069"),
+    ("classify --n 41 --w 0.73 --format json",
+     "4ef8ce3b0a182e5f3ce7f213d27003a1daf7380e956e51d4c3031915a9f775ce"),
+)
+
 
 def run_ok(capsys, *argv):
     code = run(list(argv))
@@ -94,7 +103,8 @@ def test_optimal_sweep_is_byte_identical(capsys):
     assert digest.hexdigest() == OPTIMAL_SWEEP_DIGEST
 
 
-@pytest.mark.parametrize("command,digest", PATH_DIGESTS, ids=[c for c, _ in PATH_DIGESTS])
+@pytest.mark.parametrize("command,digest", PATH_DIGESTS + CLASSIFY_DIGESTS,
+                         ids=[c for c, _ in PATH_DIGESTS + CLASSIFY_DIGESTS])
 def test_paths_are_byte_identical(capsys, command, digest):
     out = run_ok(capsys, *command.split())
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -230,6 +230,19 @@ def test_rule_fp_bayes_on_pnq_alone_is_rule_fp(n, th, kind, per_voter):
     assert rule_fp_bayes(rule, profile, (1, 0, 0)) == rule_fp(rule, profile)
 
 
+def test_rule_fp_bayes_builds_no_law_for_a_state_of_weight_zero():
+    pb = classical_rule("pb", 9)
+    profile = PerVoter(tuple(0.61 + 0.01 * i for i in range(9)))
+    misses = probability._node_law.cache_info().misses
+    assert rule_fp_bayes(pb, profile, (1, 0, 0)) == rule_fp(pb, profile)
+    assert probability._node_law.cache_info().misses == misses + 1
+    # the skipped terms were 0.0, so the sum is the three-term one
+    prior = (0.25, 0, 0.75)
+    want = math.fsum(wgt * positive_mass(pb, state, profile)
+                     for state, wgt in zip(NEGATIVE_STATES, prior))
+    assert rule_fp_bayes(pb, profile, prior) == want
+
+
 def test_table_prob_is_the_table_law_entry():
     # every ordered table: both orientations, and y == z
     for n in (1, 3, 5, 7):

@@ -1,10 +1,11 @@
 import contextlib
 import hashlib
+import heapq
 import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from dilemma import (
@@ -13,6 +14,7 @@ from dilemma import (
     InvalidParameterError,
     PerVoter,
     RankingRequest,
+    as_profile,
     build_poset,
     classical_rule,
     empty_rule,
@@ -23,7 +25,7 @@ from dilemma import (
     ranking_record,
 )
 from dilemma.cli import run
-from dilemma.ranking import ENUMERATION_BOUND, _table
+from dilemma.ranking import ENUMERATION_BOUND, _fold, _masses, _scored, _table, _tree
 from dilemma.tables import _layout
 
 # SHA-256 prefixes of `dilemma rank --format json` then `--format text
@@ -285,3 +287,94 @@ def test_upper_set_tables_stay_within_the_cache_bound():
     assert _layout.cache_info().maxsize == 4  # sizes 3 to 9 evict size 1
     again = _table(1, "compact")
     assert again == first and again is not first
+
+
+@pytest.mark.parametrize("mode", ["extended", "quotient"])
+def test_node_order_is_a_linear_extension_of_the_covers(mode):
+    # so a row less its last node is an upper set, the row's parent (not
+    # claimed for optimality_reduced, whose node order is not one)
+    for n in (*range(1, 42, 2), 99):
+        po = build_poset(n, mode)
+        assert all(u < j for j, ups in enumerate(po._up) for u in ups), n
+
+
+@pytest.mark.parametrize("n, mode", [(n, "extended") for n in (1, 3, 5, 7)]
+                         + [(n, "compact") for n in (1, 3, 5, 7, 9, 11)])
+def test_rows_rebuild_from_their_parents(n, mode):
+    # n = 7 extended and n = 11 compact are forced sizes
+    rows = [()]
+    for parent, last in _tree(n, mode):
+        assert parent < len(rows)
+        rows.append(rows[parent] + (last,))
+    assert tuple(rows) == _table(n, mode)
+
+
+def _term_by_term(rows, masses):
+    sums = []
+    for row in rows:
+        total = 0.0
+        for i in row:
+            total += masses[i]
+        sums.append(total)
+    return sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranking_requests())
+@example(RankingRequest(5, 0.5, Homogeneous(0.5), mode="extended", k=5))
+@example(RankingRequest(9, 0.5, PerVoter((0.6,) * 9), mode="compact", k=5))
+def test_rows_are_scored_from_their_parents(req):
+    # float bits and tie order: the recurrence is the node-order fold, and
+    # the k best are those of nsmallest over every (score, fp, row)
+    rows, tree = _table(req.n, req.mode), _tree(req.n, req.mode)
+    fp_c, fn_c = _masses(req.n, req.mode, as_profile(req.profile))
+    fp, miss = _term_by_term(rows, fp_c), _term_by_term(rows, fn_c)
+    assert _fold(tree, fp_c) == fp
+    assert _fold(tree, fn_c) == miss
+    fn_total = 0.0
+    for m in fn_c:
+        fn_total += m
+    scored = [(req.w * f + (1.0 - req.w) * (fn_total - m), f, r)
+              for r, (f, m) in enumerate(zip(fp, miss))]
+    assert _scored(tree, fp_c, fn_c, req.w, req.k) == heapq.nsmallest(req.k, scored)
+
+
+class _CountingMasses:
+    """A mass sequence that counts its item reads and its passes."""
+
+    def __init__(self, masses):
+        self.masses, self.reads, self.passes = list(masses), 0, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.masses[i]
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.masses)
+
+
+def test_each_row_is_scored_with_one_addition_per_mass(monkeypatch):
+    import dilemma.ranking
+
+    seen = []
+    scored = dilemma.ranking._scored
+
+    def counting(tree, fp_c, fn_c, w, k):
+        seen.extend((_CountingMasses(fp_c), _CountingMasses(fn_c)))
+        return scored(tree, *seen, w, k)
+
+    monkeypatch.setattr(dilemma.ranking, "_scored", counting)
+    ranked = rank_rules(RankingRequest(9, 0.3, (0.6, 0.7, 0.8) * 3, mode="compact", k=5))
+    assert len(ranked) == 5
+    fp, fn = seen
+    rows = len(_table(9, "compact"))
+    assert (fp.reads, fp.passes) == (rows - 1, 0)
+    assert (fn.reads, fn.passes) == (rows - 1, 1)  # plus the fn_total pass
+
+
+def test_the_mass_counter_sees_a_refold_of_every_row():
+    rows = _table(9, "compact")
+    masses = _CountingMasses([0.25] * len(_layout(9).groups))
+    _term_by_term(rows, masses)
+    assert masses.reads == sum(len(row) for row in rows) == 28_160
