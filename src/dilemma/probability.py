@@ -300,9 +300,16 @@ def rule_fp_bayes(rule: DecisionRule, profile, prior: NegativePrior) -> float:
                      for state, wgt in zip(NEGATIVE_STATES, weights) if wgt)
 
 
+def _evaluate(rule: DecisionRule, w: float, law_fp, law_fn) -> RuleEvaluation:
+    """Expected loss at a valid w, from the rule's PnQ and PQ node laws."""
+    pos = rule.indices
+    p_fp = math.fsum(law_fp.mass[i] for i in pos)
+    p_fn = math.fsum(m for i, m in enumerate(law_fn.mass) if i not in pos)
+    return RuleEvaluation(w, p_fp, p_fn, w * p_fp + (1.0 - w) * p_fn)
+
+
 def loss(rule: DecisionRule, w, profile) -> RuleEvaluation:
     """Expected loss w * P(FP) + (1 - w) * P(FN)."""
     w = validate_w(w)
-    p_fp = rule_fp(rule, profile)
-    p_fn = rule_fn(rule, profile)
-    return RuleEvaluation(w, p_fp, p_fn, w * p_fp + (1.0 - w) * p_fn)
+    return _evaluate(rule, w, node_law(rule.n, State.PnQ, profile),
+                     node_law(rule.n, State.PQ, profile))

@@ -17,12 +17,16 @@ which puts the rows in bitset order.
 Upper covers have lower node indices in both modes, so a row less its
 last node is an upper set too, and its bitmask is smaller: an earlier
 row, the parent.  The rows form a tree, kept beside the table as each
-row's (parent, last node).  A query then costs the profile's two node
-laws and one pass over the tree per mass (767 edges at n = 5 extended,
-1,023 at n = 9 compact): a row's false positive and missed mass are its
-parent's plus its last node's, which is the term-by-term sum in node
-order with one addition per row.  A row's score is w * fp + (1 - w) *
-(fn_total - missed), and only the k best rows are turned into rules.
+row's (parent, last node, end); bitset order is a depth-first preorder
+of it, so a row's descendants are the rows after it, up to its end.
+A query costs the profile's two node laws and one walk of the table in
+order.  A row's false positive and missed mass are its parent's plus
+its last node's, the term-by-term sum in node order with one addition
+per row, and its score is w * fp + (1 - w) * (fn_total - missed).  A
+descendant only adds later nodes, so when the row's score plus every
+negative gain w * fp - (1 - w) * fn of those nodes, less a margin,
+exceeds the k-th best score so far, the walk jumps to the row's end.
+Only the k best rows are turned into rules.
 
 Ties are broken deterministically: ascending score, then ascending
 false positive mass, then lexicographic positive-set bitset in node
@@ -36,13 +40,15 @@ supported Python version.
 from __future__ import annotations
 
 import heapq
+import math
+from itertools import accumulate
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .optimal import classical_rule
 from .poset import ENUMERATION_BOUND as _POSET_BOUND, build_poset
 from .probability import (Homogeneous, PerVoter, RuleEvaluation, State,
-                          as_profile, loss, node_law, profile_thetas)
+                          _evaluate, as_profile, loss, node_law, profile_thetas)
 from .rules import DecisionRule
 from .tables import _layout, per_size, validate_n, validate_w
 
@@ -99,20 +105,23 @@ def _table(n: int, mode: str) -> tuple:
 
 @per_size
 def _tree(n: int, mode: str) -> tuple:
-    """(parent row, last node) of every row after the empty first one.
+    """(parent row, last node, end row) of every row after the empty first one.
 
     Upper covers have lower node indices, so a row less its last node is
-    an upper set too: the parent, an earlier row of the table.
+    an upper set too: the parent, an earlier row of the table.  A row's
+    subtree is the rows from it up to, not including, its end.
     """
     rows = _table(n, mode)
     where = {row: r for r, row in enumerate(rows)}
-    return tuple((where[row[:-1]], row[-1]) for row in rows[1:])
+    parents = [0] + [where[row[:-1]] for row in rows[1:]]
+    ends = list(range(1, len(rows) + 1))
+    for r in range(len(rows) - 1, 0, -1):  # subtree sizes, leaves first
+        ends[parents[r]] += ends[r] - r
+    return tuple(zip(parents[1:], (row[-1] for row in rows[1:]), ends[1:]))
 
 
-def _masses(n: int, mode: str, profile) -> tuple:
+def _masses(n: int, mode: str, law_fp, law_fn) -> tuple:
     """False positive and false negative mass of each node of the mode."""
-    law_fp = node_law(n, State.PnQ, profile)
-    law_fn = node_law(n, State.PQ, profile)
     if mode == "extended":
         return law_fp.mass, law_fn.mass
     # the classes' extended node indices, in the quotient's node order
@@ -132,13 +141,9 @@ def _masses(n: int, mode: str, profile) -> tuple:
     return class_mass(law_fp), class_mass(law_fn)
 
 
-def _fold(tree, masses) -> list:
-    """Each row's mass, summed term by term in node order: its parent's
-    sum plus its last node's mass, one addition per row."""
-    out = [0.0]
-    for parent, i in tree:
-        out.append(out[parent] + masses[i])
-    return out
+# a score sums at most ~120 terms in [0, 1], each addition rounding by at
+# most 2**-53 of a partial sum <= 1: its error is near 1e-14, far below this
+_MARGIN = 1e-12
 
 
 def _scored(tree, fp_c, fn_c, w, k) -> list:
@@ -147,14 +152,28 @@ def _scored(tree, fp_c, fn_c, w, k) -> list:
     Explicit loops, not builtin sum, which is compensated from Python
     3.12 on and would break exact ties differently.
     """
-    fn_total = 0.0
-    for m in fn_c:
+    fn_total, gains = 0.0, []
+    for f, m in zip(fp_c, fn_c):
         fn_total += m
-    fp, miss = _fold(tree, fp_c), _fold(tree, fn_c)
-    scores = [w * f + (1.0 - w) * (fn_total - m) for f, m in zip(fp, miss)]
-    # only rows scoring at most the k-th smallest score can be among them
-    kth = heapq.nsmallest(k, scores)[-1]
-    return sorted((s, fp[r], r) for r, s in enumerate(scores) if s <= kth)[:k]
+        gains.append(w * f - (1.0 - w) * m)
+    # below[i]: the least that nodes i and after can add to a score
+    below = list(accumulate(reversed(gains), lambda b, g: b + min(g, 0.0),
+                            initial=0.0))[::-1]
+    fp, miss = [0.0] * (len(tree) + 1), [0.0] * (len(tree) + 1)
+    root = w * 0.0 + (1.0 - w) * (fn_total - 0.0)  # the empty row
+    seen, worst = [(root, 0.0, 0)], [-math.inf] * min(k, len(fp))
+    heapq.heapreplace(worst, -root)  # the k best scores, negated, as a heap
+    r = 1
+    while r < len(fp):
+        parent, last, end = tree[r - 1]
+        f = fp[r] = fp[parent] + fp_c[last]
+        m = miss[r] = miss[parent] + fn_c[last]
+        s = w * f + (1.0 - w) * (fn_total - m)
+        seen.append((s, f, r))
+        if s < -worst[0]:
+            heapq.heapreplace(worst, -s)
+        r = end if s + below[last + 1] - _MARGIN > -worst[0] else r + 1
+    return sorted(t for t in seen if t[0] <= -worst[0])[:k]
 
 
 def rank_rules(request: RankingRequest) -> list[RankedRule]:
@@ -174,7 +193,8 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
     profile_thetas(profile, n)  # length check up front
 
     rows = _table(n, request.mode)
-    fp_c, fn_c = _masses(n, request.mode, profile)
+    law_fp, law_fn = (node_law(n, s, profile) for s in (State.PnQ, State.PQ))
+    fp_c, fn_c = _masses(n, request.mode, law_fp, law_fn)
     best = _scored(_tree(n, request.mode), fp_c, fn_c, w, request.k)
 
     classical = _classical_indices(n)
@@ -189,7 +209,7 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
             rule = DecisionRule._of_classes(n, [classes[c] for c in row])
             ac = rule.minimal_classes()
         ranked.append(RankedRule(rank, ac, _classical_name(rule, classical), rule,
-                                 loss(rule, w, profile)))
+                                 _evaluate(rule, w, law_fp, law_fn)))
     return ranked
 
 

@@ -3,6 +3,8 @@ import hashlib
 import heapq
 import io
 import json
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,18 +16,22 @@ from dilemma import (
     InvalidParameterError,
     PerVoter,
     RankingRequest,
+    State,
     as_profile,
     build_poset,
     classical_rule,
     empty_rule,
     evaluate_rule,
     loss,
+    node_law,
     optimal_rule,
     rank_rules,
     ranking_record,
 )
 from dilemma.cli import run
-from dilemma.ranking import ENUMERATION_BOUND, _fold, _masses, _scored, _table, _tree
+import dilemma.ranking
+from dilemma.ranking import (ENUMERATION_BOUND, _MARGIN, _masses, _scored, _table,
+                           _tree)
 from dilemma.tables import _layout
 
 # SHA-256 prefixes of `dilemma rank --format json` then `--format text
@@ -303,10 +309,20 @@ def test_node_order_is_a_linear_extension_of_the_covers(mode):
 def test_rows_rebuild_from_their_parents(n, mode):
     # n = 7 extended and n = 11 compact are forced sizes
     rows = [()]
-    for parent, last in _tree(n, mode):
+    for parent, last, _ in _tree(n, mode):
         assert parent < len(rows)
         rows.append(rows[parent] + (last,))
     assert tuple(rows) == _table(n, mode)
+    # rows r+1 .. end-1 are exactly the rows that extend row r: each of
+    # them starts with row r, and as many rows in all do
+    extending = {}
+    for row in rows:
+        for i in range(len(row)):
+            extending[row[:i]] = extending.get(row[:i], 0) + 1
+    for r, (_, _, end) in enumerate(_tree(n, mode), start=1):
+        row = rows[r]
+        assert all(rows[q][:len(row)] == row for q in range(r + 1, end))
+        assert end - r - 1 == extending.get(row, 0)
 
 
 def _term_by_term(rows, masses):
@@ -319,31 +335,106 @@ def _term_by_term(rows, masses):
     return sums
 
 
+def _node_masses(n, mode, profile):
+    profile = as_profile(profile)
+    return _masses(n, mode, node_law(n, State.PnQ, profile), node_law(n, State.PQ, profile))
+
+
+def _every_row_scored(n, mode, fp_c, fn_c, w):
+    """(score, fp, row) of every row, each mass summed term by term."""
+    rows = _table(n, mode)
+    fp, miss = _term_by_term(rows, fp_c), _term_by_term(rows, fn_c)
+    fn_total = 0.0
+    for m in fn_c:
+        fn_total += m
+    return [(w * f + (1.0 - w) * (fn_total - m), f, r)
+            for r, (f, m) in enumerate(zip(fp, miss))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(ranking_requests())
 @example(RankingRequest(5, 0.5, Homogeneous(0.5), mode="extended", k=5))
 @example(RankingRequest(9, 0.5, PerVoter((0.6,) * 9), mode="compact", k=5))
+@example(RankingRequest(5, 5e-324, PerVoter((0.6, 0.7, 0.8, 0.9, 0.99)), mode="extended", k=5))
+@example(RankingRequest(9, 5e-324, Homogeneous(0.7), mode="compact", k=1))
+@example(RankingRequest(5, 1 - 1e-16, Homogeneous(0.6), mode="extended", k=5))
+@example(RankingRequest(9, 1 - 1e-16, PerVoter((0.55, 0.9) * 4 + (0.7,)), mode="compact", k=10**6))
+@example(RankingRequest(5, 0.3, Homogeneous(0.99999), mode="extended", k=5))
+@example(RankingRequest(9, 0.7, Homogeneous(0.99999), mode="compact", k=5))
+@example(RankingRequest(5, 0.5, PerVoter((0.7,) * 5), mode="extended", k=10**6))
+@example(RankingRequest(9, 0.3, PerVoter((0.5,) * 9), mode="compact", k=8))
 def test_rows_are_scored_from_their_parents(req):
-    # float bits and tie order: the recurrence is the node-order fold, and
-    # the k best are those of nsmallest over every (score, fp, row)
-    rows, tree = _table(req.n, req.mode), _tree(req.n, req.mode)
-    fp_c, fn_c = _masses(req.n, req.mode, as_profile(req.profile))
-    fp, miss = _term_by_term(rows, fp_c), _term_by_term(rows, fn_c)
-    assert _fold(tree, fp_c) == fp
-    assert _fold(tree, fn_c) == miss
-    fn_total = 0.0
-    for m in fn_c:
-        fn_total += m
-    scored = [(req.w * f + (1.0 - req.w) * (fn_total - m), f, r)
-              for r, (f, m) in enumerate(zip(fp, miss))]
-    assert _scored(tree, fp_c, fn_c, req.w, req.k) == heapq.nsmallest(req.k, scored)
+    # float bits and tie order: the walk sums each row as the node-order
+    # fold, skips no row that reaches the k best, and keeps the k best of
+    # nsmallest over every (score, fp, row)
+    fp_c, fn_c = _node_masses(req.n, req.mode, req.profile)
+    every = _every_row_scored(req.n, req.mode, fp_c, fn_c, req.w)
+    assert _scored(_tree(req.n, req.mode), fp_c, fn_c, req.w, req.k) == \
+        heapq.nsmallest(req.k, every)
+
+
+@pytest.mark.parametrize("n, mode", [(7, "extended"), (11, "compact")])
+def test_forced_sizes_are_scored_as_every_row(n, mode):
+    fp_c, fn_c = _node_masses(n, mode, PerVoter((0.6,) * (n - 2) + (0.7, 0.8)))
+    for w in (0.2, 0.5, 0.8):
+        every = _every_row_scored(n, mode, fp_c, fn_c, w)
+        for k in (1, 8, 10**6):
+            assert _scored(_tree(n, mode), fp_c, fn_c, w, k) == \
+                heapq.nsmallest(k, every), (w, k)
+
+
+@pytest.mark.parametrize("margin", [_MARGIN, 0.0])
+def test_a_tie_inside_a_subtree_at_its_bound_is_kept(monkeypatch, margin):
+    # rows (), (0,), (1,), (1, 2); at w = 1/2 every sum below is exact.
+    # (0,) scores 1/2 first; the subtree of (1,) can lower its 11/16 by
+    # 3/16 at most, down to 1/2 exactly, and (1, 2) ties (0,) there with
+    # less false positive mass, so it must be walked into even with no margin
+    monkeypatch.setattr(dilemma.ranking, "_MARGIN", margin)
+    tree = ((0, 0, 2), (0, 1, 4), (2, 2, 4))
+    fp_c, fn_c = (0.5, 0.125, 0.125), (0.75, 0.0, 0.5)
+    assert _scored(tree, fp_c, fn_c, 0.5, 1) == [(0.5, 0.25, 3)]
+    assert _scored(tree, fp_c, fn_c, 0.5, 2) == [(0.5, 0.25, 3), (0.5, 0.5, 1)]
+
+
+@pytest.mark.parametrize("n, mode, profile", [
+    (3, "extended", Homogeneous(0.5)),
+    (5, "extended", PerVoter((0.55, 0.6, 0.7, 0.8, 0.99))),
+    (5, "extended", Homogeneous(0.99999)),
+    (7, "compact", Homogeneous(0.7)),
+    (9, "compact", PerVoter((0.6, 0.7, 0.8) * 3)),
+    (9, "compact", PerVoter((0.999999,) * 9)),
+])
+def test_float_scores_and_bounds_are_far_inside_the_margin(n, mode, profile):
+    # the exact score of every row, and the exact least gain of the nodes
+    # after each one, from the same float masses: the float walk is off by
+    # less than a thousandth of the margin, so a skip never drops a row
+    fp_c, fn_c = _node_masses(n, mode, profile)
+    tree, ex_fp, ex_fn = _tree(n, mode), [Fraction(0)], [Fraction(0)]
+    for parent, last, _ in tree:
+        ex_fp.append(ex_fp[parent] + Fraction(fp_c[last]))
+        ex_fn.append(ex_fn[parent] + Fraction(fn_c[last]))
+    fn_total = sum(map(Fraction, fn_c))
+    for w in (5e-324, 0.2, 0.5, 1 - 1e-16):
+        fw = Fraction(w)
+        floats = _every_row_scored(n, mode, fp_c, fn_c, w)
+        for (s, _, _), f, m in zip(floats, ex_fp, ex_fn):
+            assert abs(Fraction(s) - (fw * f + (1 - fw) * (fn_total - m))) < _MARGIN / 1000
+        gains = [w * f - (1.0 - w) * m for f, m in zip(fp_c, fn_c)]
+        below = accumulate(reversed(gains), lambda b, g: b + min(g, 0.0), initial=0.0)
+        exact = accumulate((min(fw * Fraction(f) - (1 - fw) * Fraction(m), 0)
+                            for f, m in zip(reversed(fp_c), reversed(fn_c))), initial=0)
+        for b, e in zip(below, exact):
+            assert abs(Fraction(b) - e) < _MARGIN / 1000
 
 
 class _CountingMasses:
-    """A mass sequence that counts its item reads and its passes."""
+    """A sequence that counts its item reads and its passes."""
 
     def __init__(self, masses):
         self.masses, self.reads, self.passes = list(masses), 0, 0
+
+    def __len__(self):
+        return len(self.masses)
 
     def __getitem__(self, i):
         self.reads += 1
@@ -354,23 +445,23 @@ class _CountingMasses:
         return iter(self.masses)
 
 
-def test_each_row_is_scored_with_one_addition_per_mass(monkeypatch):
-    import dilemma.ranking
-
+def test_each_walked_row_is_scored_with_one_addition_per_mass(monkeypatch):
     seen = []
     scored = dilemma.ranking._scored
 
     def counting(tree, fp_c, fn_c, w, k):
-        seen.extend((_CountingMasses(fp_c), _CountingMasses(fn_c)))
-        return scored(tree, *seen, w, k)
+        seen.extend(map(_CountingMasses, (tree, fp_c, fn_c)))
+        return scored(*seen, w, k)
 
     monkeypatch.setattr(dilemma.ranking, "_scored", counting)
     ranked = rank_rules(RankingRequest(9, 0.3, (0.6, 0.7, 0.8) * 3, mode="compact", k=5))
     assert len(ranked) == 5
-    fp, fn = seen
-    rows = len(_table(9, "compact"))
-    assert (fp.reads, fp.passes) == (rows - 1, 0)
-    assert (fn.reads, fn.passes) == (rows - 1, 1)  # plus the fn_total pass
+    tree, fp, fn = seen
+    walked = tree.reads  # every row after the empty one reads its tree entry once
+    assert (fp.reads, fn.reads) == (walked, walked)
+    # one pass over both, for fn_total and the node gains; none over the tree
+    assert (fp.passes, fn.passes, tree.passes) == (1, 1, 0)
+    assert walked + 1 < len(_table(9, "compact")) / 3
 
 
 def test_the_mass_counter_sees_a_refold_of_every_row():
