@@ -7,12 +7,10 @@ and false negative probabilities of symmetric monotone rules under a
 common competence model, computes the loss-minimizing rule in closed
 form, ranks all admissible rules exhaustively, and cross-checks the
 probabilities by seeded Monte Carlo.  The ``dilemma`` command exposes
-the same operations on the command line.
+the same operations on the command line; ``dilemma.montecarlo`` loads on first use.
 """
 
 from .errors import InvalidParameterError, StructuralError
-from .montecarlo import (BLOCK_TRIALS, RNG_ALGORITHM, SimulationResult,
-                         SimulationSpec, simulate)
 from .optimal import (TANGENCY_BAND, GoodnessProfile, TableType,
                       classical_rule, classify, eta_star, g_eval,
                       goodness_intervals, is_good, optimal_rule, pb_optimal,
@@ -50,3 +48,17 @@ __all__ = [
     "table_count", "table_law", "table_prob", "to_dot", "transpose",
     "whitney_numbers",
 ]
+
+_LAZY = ("BLOCK_TRIALS", "RNG_ALGORITHM", "SimulationResult", "SimulationSpec", "simulate")
+
+
+def __getattr__(name):
+    if name != "montecarlo" and name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(".montecarlo", __name__)
+    return module if name == "montecarlo" else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -10,8 +10,8 @@ config files or environment variables.  Exit codes: 0 success, 2 bad
 arguments, 1 internal failure, 141 (128 + SIGPIPE) when the reader of
 stdout closes it early; nothing goes to stderr in that case.
 
-``run`` builds the argument parser on its first call and reuses it
-for every later call in the process; importing this module builds none.
+``run`` builds the argument parser on its first call and reuses it later;
+importing this module builds none and loads no ``dilemma.montecarlo``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import sys
 from functools import cache
 
 from .errors import InvalidParameterError, StructuralError
-from .montecarlo import SimulationSpec, simulate
 from .optimal import (GoodnessProfile, classical_rule, classify,
                       goodness_intervals, is_good, optimal_rule, pb_region)
 from .poset import ENUMERATION_BOUND, build_poset, max_antichain_size, to_dot
@@ -230,6 +229,8 @@ def _make_rule(kind: str | None, n: int, w, profile) -> DecisionRule | None:
 
 
 def _cmd_simulate(args) -> int:
+    from .montecarlo import SimulationSpec, simulate
+
     profile = as_profile(_theta_values(args.theta))
     rule = _make_rule(args.rule, args.n, args.w, profile)
     spec = SimulationSpec(args.n, args.state, profile, args.trials, args.seed, rule)

@@ -15,20 +15,20 @@ working set cache-sized and the draws identical to reading the block
 at once.  Every simulation runs its blocks on a thread pool of up to
 one thread per usable CPU, one thread for a single block (numpy
 releases the GIL while it draws and counts); integer tallies add up in
-any order, so the result is the same for any thread count.  numpy is
-imported only when ``simulate`` runs.
+any order, so the result is the same for any thread count.  numpy loads
+when ``simulate`` runs; this module, when one of its names is first used.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .probability import State, as_profile, as_state, profile_thetas
 from .rules import DecisionRule
-from .tables import VoteTable, node_sort_key, validate_n
+from .tables import VoteTable, _Validated, node_sort_key, validate_n
 
 BLOCK_TRIALS = 1 << 16
 RNG_ALGORITHM = "pcg64"
@@ -36,35 +36,27 @@ RNG_ALGORITHM = "pcg64"
 _CHUNK_TRIALS = 4096
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
-    n: int
-    state: State
-    profile: object
-    trials: int
-    seed: int
-    rule: DecisionRule | None = None
+class SimulationSpec(_Validated, NamedTuple("SimulationSpec", [
+        ("n", int), ("state", State), ("profile", object), ("trials", int),
+        ("seed", int), ("rule", DecisionRule | None)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_n(self.n)
-        object.__setattr__(self, "state", as_state(self.state))
-        object.__setattr__(self, "profile", as_profile(self.profile))
-        profile_thetas(self.profile, self.n)
-        if (not isinstance(self.trials, int) or isinstance(self.trials, bool)
-                or self.trials < 1):
-            raise InvalidParameterError(f"trials must be a positive int, got {self.trials!r}")
+    def __new__(cls, n, state, profile, trials, seed, rule=None):
+        validate_n(n)
+        state, profile = as_state(state), as_profile(profile)
+        profile_thetas(profile, n)
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+            raise InvalidParameterError(f"trials must be a positive int, got {trials!r}")
         # SeedSequence takes no negative entropy; remapping one would
         # silently alias another seed's stream
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or self.seed < 0):
-            raise InvalidParameterError(f"seed must be an int >= 0, got {self.seed!r}")
-        if self.rule is not None and self.rule.n != self.n:
-            raise InvalidParameterError(
-                f"rule is for n = {self.rule.n}, spec says n = {self.n}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise InvalidParameterError(f"seed must be an int >= 0, got {seed!r}")
+        if rule is not None and rule.n != n:
+            raise InvalidParameterError(f"rule is for n = {rule.n}, spec says n = {n}")
+        return super().__new__(cls, n, state, profile, trials, seed, rule)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     spec: SimulationSpec
     counts: dict          # ordered VoteTable -> trial count
     frequencies: dict
@@ -73,7 +65,7 @@ class SimulationResult:
     positive_rate: float | None
     positive_stderr: float | None
     rng: str = RNG_ALGORITHM
-    block_trials: int = field(default=BLOCK_TRIALS)
+    block_trials: int = BLOCK_TRIALS
 
     def to_json(self) -> dict:
         spec = self.spec

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, StructuralError
 from .rules import DecisionRule
@@ -138,8 +138,7 @@ def is_good(cls_or_table, w, theta) -> bool:
     return bool(_good((c,), w, theta))
 
 
-@dataclass(frozen=True)
-class GoodnessProfile:
+class GoodnessProfile(NamedTuple):
     """Where in theta a class is good, at fixed w.
 
     ``intervals`` holds open intervals with endpoints in [1/2, 1]; the

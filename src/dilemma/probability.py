@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .rules import DecisionRule
-from .tables import (_layout, ordered_tables, per_size, validate_n,
+from .tables import (_layout, _Validated, ordered_tables, per_size, validate_n,
                      validate_table, validate_theta, validate_w)
 
 
@@ -62,25 +61,23 @@ def as_state(value) -> State:
             f"state must be one of {[s.value for s in State]}, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class Homogeneous:
+class Homogeneous(_Validated, NamedTuple("Homogeneous", [("theta", float)])):
     """Every voter has the same competence."""
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", validate_theta(self.theta))
+    def __new__(cls, theta):
+        return super().__new__(cls, validate_theta(theta))
 
 
-@dataclass(frozen=True)
-class PerVoter:
+class PerVoter(_Validated, NamedTuple("PerVoter", [("thetas", tuple)])):
     """One competence per voter, in voter order."""
-    thetas: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "thetas",
-                           tuple(validate_theta(t) for t in self.thetas))
-        if not self.thetas:
+    def __new__(cls, thetas):
+        thetas = tuple(validate_theta(t) for t in thetas)
+        if not thetas:
             raise InvalidParameterError("per-voter profile needs at least one theta")
+        return super().__new__(cls, thetas)
 
 
 Profile = Homogeneous | PerVoter
@@ -110,20 +107,19 @@ def profile_thetas(profile: Profile, n: int) -> tuple:
     return profile.thetas
 
 
-@dataclass(frozen=True)
-class NegativePrior:
+class NegativePrior(_Validated, NamedTuple("NegativePrior", [
+        ("pnq", float), ("npq", float), ("npnq", float)])):
     """Prior weights over the three states where the conclusion fails."""
-    pnq: float
-    npq: float
-    npnq: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        ws = (self.pnq, self.npq, self.npnq)
+    def __new__(cls, pnq, npq, npnq):
+        ws = (pnq, npq, npnq)
         # weights that sum to 1 lie in [0, 1]; NaN fails both comparisons
         if not all(isinstance(w, numbers.Real) and 0 <= w <= 1 for w in ws):
             raise InvalidParameterError(f"prior weights must be reals in [0, 1], got {ws}")
         if abs(math.fsum(ws) - 1.0) > 1e-12:
             raise InvalidParameterError(f"prior weights must sum to 1, got {ws}")
+        return super().__new__(cls, *ws)
 
     @classmethod
     def uniform(cls) -> "NegativePrior":
@@ -131,8 +127,7 @@ class NegativePrior:
         return cls(third, third, third)
 
 
-@dataclass(frozen=True)
-class RuleEvaluation:
+class RuleEvaluation(NamedTuple):
     w: float
     p_fp: float
     p_fn: float

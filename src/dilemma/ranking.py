@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import accumulate
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .optimal import classical_rule
@@ -58,8 +58,7 @@ ENUMERATION_BOUND = {mode: _POSET_BOUND[pm] for mode, pm in _POSET_MODE.items()}
 DEFAULT_K = 5
 
 
-@dataclass(frozen=True)
-class RankingRequest:
+class RankingRequest(NamedTuple):
     n: int
     w: float
     profile: Homogeneous | PerVoter
@@ -68,8 +67,7 @@ class RankingRequest:
     force: bool = False
 
 
-@dataclass(frozen=True)
-class RankedRule:
+class RankedRule(NamedTuple):
     rank: int | None
     antichain: tuple  # tables (extended) or classes (compact)
     name: str | None

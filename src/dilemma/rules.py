@@ -24,19 +24,31 @@ alpha+-1) in it; ``minimal_classes`` are their classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .poset import build_poset, strictly_above
 from .tables import _layout, canonical, validate_class, validate_n
 
 
-@dataclass(frozen=True)
 class DecisionRule:
-    n: int
-    indices: frozenset  # layout node indices answered "yes"
-    antichain: tuple    # minimal positives, node order
-    admissible: bool
+    """Immutable; equal, and hashed alike, when n, indices (layout nodes answered
+    "yes"), antichain (minimal positives, node order) and admissible are."""
+
+    def __init__(self, n: int, indices: frozenset, antichain: tuple, admissible: bool):
+        vars(self).update(n=n, indices=indices, antichain=antichain, admissible=admissible)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+    _key = property(attrgetter("n", "indices", "antichain", "admissible"))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @classmethod
     def _of(cls, n: int, idxs: frozenset) -> "DecisionRule":

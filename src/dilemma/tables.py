@@ -64,6 +64,12 @@ class TableClass(NamedTuple):
     alpha: int
 
 
+class _Validated:
+    """NamedTuple mixin: ``_make``, and so ``_replace``, go through ``__new__``."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
 def validate_n(n) -> int:
     """Committee size: odd integer in 1..MAX_N."""
     if not isinstance(n, int) or isinstance(n, bool):

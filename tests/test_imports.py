@@ -12,19 +12,23 @@ or an explicit loop.  Module-level memoization (``lru_cache`` or
 and the argument parser; what derives from a committee size alone is
 kept in that size's layout (``tables.per_size``).
 
-Importing the command line module builds no argument parser: the
-first ``run`` does.  Importing the package builds no node layout, and
-building the extended poset leaves the layout's class grouping unbuilt:
-only a caller that reads classes pays for it.  Likewise only the
-per-voter law derives the layout's cube cells.  The optimal, decide and
-simulate paths read rules off the node layout and build no extended
-poset; only the commands that print or count its order do.  A
-homogeneous optimal rule, and any other union of classes that is an
-upper set, is certified on its classes, and so is the premiss-wise
-rule: the optimal, decide and simulate paths on such rules build no
-poset of any mode and leave the layout's upper covers underived, which
-a rule given by its tables (the conclusion-wise rule of ``simulate
---rule cb``) still derives.
+Importing the package and the command line module loads neither
+``dataclasses`` (nor ``inspect``, which it pulls in), nor the
+simulator ``dilemma.montecarlo``, nor numpy: the first use of a
+simulation name loads the simulator.  Importing the command line
+module builds no argument parser: the first ``run`` does.  Importing
+the package builds no node layout, and building the extended poset
+leaves the layout's class grouping unbuilt: only a caller that reads
+classes pays for it.  Likewise only the per-voter law derives the
+layout's cube cells.  The optimal, decide and simulate paths read
+rules off the node layout and build no extended poset; only the
+commands that print or count its order do.  A homogeneous optimal
+rule, and any other union of classes that is an upper set, is
+certified on its classes, and so is the premiss-wise rule: the
+optimal, decide and simulate paths on such rules build no poset of any
+mode and leave the layout's upper covers underived, which a rule given
+by its tables (the conclusion-wise rule of ``simulate --rule cb``)
+still derives.
 
 A ``Poset`` is immutable after construction: enumerating, testing and
 ranking on it leave its attributes as they were.
@@ -172,6 +176,39 @@ def test_importing_the_package_builds_no_layout():
 
 def test_the_check_sees_a_layout_built():
     assert layouts_built("import dilemma\ndilemma.enumerate_tables(3)\n") == 1
+
+
+HEAVY = ("dataclasses", "inspect", "dilemma.montecarlo", "numpy")
+
+
+def heavy_loaded(code: str) -> set:
+    """Which of the HEAVY modules are loaded after running code in a fresh process."""
+    return set(run_fresh("import sys\n" + code +
+                         f"print(','.join(['-'] + [m for m in {HEAVY!r} "
+                         "if m in sys.modules]))\n").split(",")[1:])
+
+
+def test_importing_the_package_loads_no_heavy_module():
+    assert heavy_loaded("import dilemma, dilemma.cli\n") == set()
+
+
+@pytest.mark.parametrize("code", ["dilemma.simulate", "dilemma.montecarlo",
+                                  "from dilemma import SimulationSpec"])
+def test_the_check_sees_the_simulator_loaded(code):
+    assert "dilemma.montecarlo" in heavy_loaded(f"import dilemma\n{code}\n")
+
+
+def test_the_package_still_exposes_the_simulator_names():
+    assert run_fresh(
+        "import dilemma\n"
+        "names = {'BLOCK_TRIALS', 'RNG_ALGORITHM', 'SimulationResult',"
+        " 'SimulationSpec', 'simulate'}\n"
+        "listed = names <= set(dir(dilemma)) and names <= set(dilemma.__all__)\n"
+        "star = {}\n"
+        "exec('from dilemma import *', star)\n"
+        "from dilemma import SimulationSpec\n"
+        "from dilemma.montecarlo import SimulationSpec as spec\n"
+        "print(listed and names <= star.keys() and SimulationSpec is spec)\n") == "True"
 
 
 def test_the_extended_poset_leaves_the_class_grouping_unbuilt():
