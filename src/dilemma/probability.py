@@ -11,9 +11,9 @@ canonical table T, in node order, P(T) and P(T transposed), whose sum
 is the mass a symmetric rule puts on the node.  For a homogeneous
 committee each entry is the multinomial count times theta**a *
 (1-theta)**b, with the counts computed once per n as exact integers
-converted late; per-voter competences are convolved ballot by ballot
-over a numpy (x, y, z) cube and read off at the cube cells of the
-shared node layout (``dilemma.tables``), which keeps the counts.  Laws
+converted late; per-voter competences are convolved ballot by ballot,
+in plain Python up to n = 9 and over a numpy (x, y, z) cube above, onto
+the shared node layout (``dilemma.tables``), which keeps the counts.  Laws
 live in an LRU cache of LAW_CACHE_SIZE entries keyed by the profile, so
 a theta sweep or a long stream of committees keeps memory flat.
 ``table_law`` is an ordered-table dict view of a law, built per call for
@@ -192,13 +192,48 @@ def _homogeneous_law(n: int, state: State, profile: Homogeneous):
     return canon, trans
 
 
+_PLAIN_MAX_N = 9  # up to here plain Python beats numpy, and its import
+
+
+@per_size
+def _simplex(n: int):
+    """Per voter k, each cell x + y + z <= k as the positions of its sources
+    t-1, z-1, y-1, x-1 (-1 if absent) in voter k-1's cells; then the final
+    position of each node and of its transpose (-1 if y == z)."""
+    steps, at = [], {(0, 0, 0): 0}
+    for k in range(1, n + 1):
+        cells = [(x, y, z) for x in range(k + 1) for y in range(k + 1 - x)
+                 for z in range(k + 1 - x - y)]
+        steps.append([(at.get((x, y, z), -1), at.get((x, y, z - 1), -1),
+                       at.get((x, y - 1, z), -1), at.get((x - 1, y, z), -1))
+                      for x, y, z in cells])
+        at = {cell: i for i, cell in enumerate(cells)}
+    return (steps, [at[x, y, z] for x, y, z, _ in _layout(n).tables],
+            [at[x, z, y] if y != z else -1 for x, y, z, _ in _layout(n).tables])
+
+
+def _simplex_law(n: int, state: State, profile: PerVoter):
+    """The cube's floats in plain Python: position -1 reads the appended
+    0.0, and a missing source's +0.0 leaves a sum of masses >= 0 as it is."""
+    steps, canon_at, trans_at = _simplex(n)
+    law = [1.0]
+    for sources, th in zip(steps, profile.thetas):
+        a, b, c, d = single_vote_law(state, th)
+        law.append(0.0)
+        law = [d * law[i] + c * law[j] + b * law[k] + a * law[m] for i, j, k, m in sources]
+    law.append(0.0)
+    return [law[i] for i in canon_at], [law[j] for j in trans_at]
+
+
 def _per_voter_law(n: int, state: State, profile: PerVoter):
-    """Convolve the ballot laws over an (x, y, z) cube, t implied.
+    """Convolve the ballots, t implied: plain Python up to _PLAIN_MAX_N, a numpy cube above.
 
     Each cell adds its sources in the order t-1, z-1, y-1, x-1, the
     order in which a voter-by-voter convolution over a dict of tables
     (see tests/oracles.py) meets them, so the floats agree exactly.
     """
+    if n <= _PLAIN_MAX_N:
+        return _simplex_law(n, state, profile)
     import numpy as np
 
     law = np.ones((1, 1, 1))

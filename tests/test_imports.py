@@ -20,15 +20,16 @@ module builds no argument parser: the first ``run`` does.  Importing
 the package builds no node layout, and building the extended poset
 leaves the layout's class grouping unbuilt: only a caller that reads
 classes pays for it.  Likewise only the per-voter law derives the
-layout's cube cells.  The optimal, decide and simulate paths read
-rules off the node layout and build no extended poset; only the
-commands that print or count its order do.  A homogeneous optimal
-rule, and any other union of classes that is an upper set, is
-certified on its classes, and so is the premiss-wise rule: the
-optimal, decide and simulate paths on such rules build no poset of any
-mode and leave the layout's upper covers underived, which a rule given
-by its tables (the conclusion-wise rule of ``simulate --rule cb``)
-still derives.
+layout's cube cells, and only above n = 9: up to there it runs in plain
+Python, so a small per-voter command loads no numpy.  The optimal,
+decide and simulate paths read rules off the node layout and build no
+extended poset; only the commands that print or count its order do.  A
+homogeneous optimal rule, and any other union of classes that is an
+upper set, is certified on its classes, and so is the premiss-wise
+rule: the optimal, decide and simulate paths on such rules build no
+poset of any mode and leave the layout's upper covers underived, which
+a rule given by its tables (the conclusion-wise rule of ``simulate
+--rule cb``) still derives.
 
 A ``Poset`` is immutable after construction: enumerating, testing and
 ranking on it leave its attributes as they were.
@@ -235,8 +236,29 @@ def test_the_homogeneous_paths_derive_no_cube_cells():
 def test_the_check_sees_the_cube_cells_derived():
     assert layout_holds(
         "import dilemma.cli\n"
-        "dilemma.cli.run(['rank', '--n', '5', '--w', '0.5', '--theta',"
-        " '0.6,0.65,0.7,0.75,0.8', '--mode', 'compact', '--k', '3'])\n", 5, "cells")
+        "dilemma.cli.run(['rank', '--n', '11', '--w', '0.5', '--theta',"
+        " '0.6,0.62,0.64,0.66,0.68,0.7,0.72,0.74,0.76,0.78,0.8', '--mode', 'compact',"
+        " '--k', '3', '--force'])\n", 11, "cells")
+
+
+def test_small_per_voter_commands_load_no_numpy():
+    assert heavy_loaded(
+        "import dilemma, dilemma.cli\n"
+        "run = dilemma.cli.run\n"
+        "run(['optimal', '--n', '5', '--w', '0.4', '--theta', '0.6,0.65,0.7,0.75,0.8'])\n"
+        "run(['rank', '--n', '5', '--w', '0.4', '--theta', '0.6,0.65,0.7,0.75,0.8',"
+        " '--mode', 'extended'])\n"
+        "run(['rank', '--n', '9', '--w', '0.45', '--theta',"
+        " '0.56,0.6,0.64,0.68,0.72,0.76,0.8,0.84,0.88', '--mode', 'compact'])\n"
+        "dilemma.loss(dilemma.classical_rule('pb', 9), 0.5,"
+        " [0.6 + 0.03 * i for i in range(9)])\n") == set()
+
+
+def test_the_check_sees_numpy_loaded_by_a_larger_per_voter_law():
+    assert "numpy" in heavy_loaded(
+        "import dilemma\n"
+        "dilemma.loss(dilemma.classical_rule('pb', 11), 0.5,"
+        " [0.6 + 0.03 * i for i in range(11)])\n")
 
 
 def posets_built(code: str, mode: str | None = None) -> int:

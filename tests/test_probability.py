@@ -347,6 +347,37 @@ def test_homogeneous_node_law_equals_the_closed_form_exactly(n, state, th):
     assert_node_law_is_the_table_law(node_law(n, state, th), want, n)
 
 
+competences = st.one_of(st.sampled_from((1e-300, 0.5, 1 - 2**-53)),
+                        st.floats(0, 1, exclude_min=True, exclude_max=True))
+# 31 competences, each drawn or all equal; a size-n law reads the first n
+profiles_31 = st.one_of(st.lists(competences, min_size=31, max_size=31),
+                        competences.map(lambda th: [th] * 31))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11, 21, 31])
+@settings(max_examples=15, deadline=None)
+@given(profiles_31)
+@example([0.5] * 31)
+@example([1e-300, 1 - 2**-53] * 15 + [0.6])
+def test_the_plain_simplex_law_is_the_numpy_cube_bit_for_bit(n, thetas):
+    profile = PerVoter(tuple(thetas[:n]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probability, "_PLAIN_MAX_N", 0)
+        cube = [probability._per_voter_law(n, state, profile) for state in State]
+    # up to the crossover through the dispatch, above it straight to the executor
+    plain = probability._per_voter_law if n <= 9 else probability._simplex_law
+    assert [plain(n, state, profile) for state in State] == cube
+
+
+def test_the_plain_law_serves_up_to_nine_voters_and_the_cube_above(monkeypatch):
+    sizes, plain = [], probability._simplex_law
+    monkeypatch.setattr(probability, "_simplex_law",
+                        lambda n, *args: sizes.append(n) or plain(n, *args))
+    for n in (9, 11):
+        probability._per_voter_law(n, State.PQ, PerVoter((0.7,) * n))
+    assert sizes == [9]
+
+
 def test_masses_sum_the_node_law():
     rules = all_admissible_rules(3) + [classical_rule(k, 7) for k in ("pb", "cb", "hb")]
     for rule in rules:
