@@ -7,26 +7,25 @@ quotient).  Their number grows steeply with n, so ranking is refused
 above the poset's enumeration bound, n = 5 (extended) or n = 9
 (compact), unless force is set.
 
-The upper sets do not depend on the profile or on w.  For each (n,
-mode) they are listed once, as ascending tuples of node indices, in a
-table that the size-n node layout keeps and drops (``per_size`` in
-``dilemma.tables``); the first query of an (n, mode) builds it by
-sorting the upper-set bitmasks that ``Poset.upper_sets`` yields,
-which puts the rows in bitset order.
+The upper sets do not depend on the profile or on w.  The first query
+of an (n, mode) sorts the upper-set bitmasks that ``Poset.upper_sets``
+yields, which puts these rows in bitset order.  Upper covers have
+lower node indices in both modes, so a row less its last node is an
+upper set too, and its bitmask is smaller: an earlier row, the parent.
+The rows form a tree, kept as each row's (parent, last node, end) by
+the size-n node layout, which drops it with the size (``per_size`` in
+``dilemma.tables``); bitset order is a depth-first preorder of it, so
+a row's descendants are the rows after it, up to its end.
 
-Upper covers have lower node indices in both modes, so a row less its
-last node is an upper set too, and its bitmask is smaller: an earlier
-row, the parent.  The rows form a tree, kept beside the table as each
-row's (parent, last node, end); bitset order is a depth-first preorder
-of it, so a row's descendants are the rows after it, up to its end.
-A query costs the profile's two node laws and one walk of the table in
-order.  A row's false positive and missed mass are its parent's plus
+A query costs the profile's two node laws and one walk of the tree in
+preorder.  A row's false positive and missed mass are its parent's plus
 its last node's, the term-by-term sum in node order with one addition
 per row, and its score is w * fp + (1 - w) * (fn_total - missed).  A
 descendant only adds later nodes, so when the row's score plus every
 negative gain w * fp - (1 - w) * fn of those nodes, less a margin,
 exceeds the k-th best score so far, the walk jumps to the row's end.
-Only the k best rows are turned into rules.
+Only the k best rows are turned into rules, their nodes read up
+their parents.
 
 Ties are broken deterministically: ascending score, then ascending
 false positive mass, then lexicographic positive-set bitset in node
@@ -92,30 +91,31 @@ def evaluate_rule(rule: DecisionRule, w, profile) -> RankedRule:
 
 
 @per_size
-def _table(n: int, mode: str) -> tuple:
-    """Ascending node indices of each upper set, in bitset order."""
-    po = build_poset(n, _POSET_MODE[mode])
-    digits = f"0{len(po.nodes)}b"
-    masks = sorted(upper for upper, _ in po.upper_sets())
-    return tuple(tuple(i for i, bit in enumerate(format(mask, digits)) if bit == "1")
-                 for mask in masks)
-
-
-@per_size
 def _tree(n: int, mode: str) -> tuple:
     """(parent row, last node, end row) of every row after the empty first one.
 
-    Upper covers have lower node indices, so a row less its last node is
-    an upper set too: the parent, an earlier row of the table.  A row's
-    subtree is the rows from it up to, not including, its end.
+    Rows are the ascending upper-set bitmasks, bit N-1-i for node i, so a
+    row's last node is its lowest bit, and the row less it is the parent.
+    A row's subtree is the rows from it up to, not including, its end.
     """
-    rows = _table(n, mode)
-    where = {row: r for r, row in enumerate(rows)}
-    parents = [0] + [where[row[:-1]] for row in rows[1:]]
-    ends = list(range(1, len(rows) + 1))
-    for r in range(len(rows) - 1, 0, -1):  # subtree sizes, leaves first
+    po = build_poset(n, _POSET_MODE[mode])
+    masks = sorted(upper for upper, _ in po.upper_sets())
+    where = {mask: r for r, mask in enumerate(masks)}
+    parents = [0] + [where[mask & (mask - 1)] for mask in masks[1:]]
+    ends = list(range(1, len(masks) + 1))
+    for r in range(len(masks) - 1, 0, -1):  # subtree sizes, leaves first
         ends[parents[r]] += ends[r] - r
-    return tuple(zip(parents[1:], (row[-1] for row in rows[1:]), ends[1:]))
+    lasts = (len(po.nodes) - (mask & -mask).bit_length() for mask in masks[1:])
+    return tuple(zip(parents[1:], lasts, ends[1:]))
+
+
+def _row(tree, r: int) -> list:
+    """Ascending node indices of row r, read up its parents."""
+    row = []
+    while r:
+        r, last, _ = tree[r - 1]
+        row.append(last)
+    return row[::-1]
 
 
 def _masses(n: int, mode: str, law_fp, law_fn) -> tuple:
@@ -186,20 +186,20 @@ def rank_rules(request: RankingRequest) -> list[RankedRule]:
     if n > bound and not request.force:
         raise InvalidParameterError(
             f"exhaustive {request.mode} ranking is bounded at n = {bound}; "
-            f"pass force=True to scan n = {n} anyway")
+            f"pass force=True (--force on the command line) to scan n = {n} anyway")
     profile = as_profile(request.profile)
     profile_thetas(profile, n)  # length check up front
 
-    rows = _table(n, request.mode)
+    tree = _tree(n, request.mode)
     law_fp, law_fn = (node_law(n, s, profile) for s in (State.PnQ, State.PQ))
     fp_c, fn_c = _masses(n, request.mode, law_fp, law_fn)
-    best = _scored(_tree(n, request.mode), fp_c, fn_c, w, request.k)
+    best = _scored(tree, fp_c, fn_c, w, request.k)
 
     classical = _classical_indices(n)
     classes = tuple(_layout(n).groups)  # the quotient's node order
     ranked = []
     for rank, (_, _, r) in enumerate(best, start=1):
-        row = rows[r]
+        row = _row(tree, r)
         if request.mode == "extended":
             rule = DecisionRule._of(n, frozenset(row))
             ac = rule.antichain

@@ -16,7 +16,7 @@ kept in an LRU cache of 4 entries, owns the nodes for every module: the
 tables in node order and the run starts, which give a table's node in
 closed form and, on first use, the class grouping, covers and cells.
 What the other modules derive from n alone (posets, classical rules,
-law terms, rank tables) is kept in the layout by ``per_size``, so its
+law terms, rank trees) is kept in the layout by ``per_size``, so its
 bound is the only one on per-size data and nothing outlives it.
 
 The validators of the scalar parameters (committee size n, loss

@@ -2,10 +2,12 @@
 
 Everything here works on plain tuples and recomputes results from the
 definitions, deliberately not importing the package, so tests can
-compare the two paths.  ``rank_scan`` is the one exception: it keeps
-the antichain scan that ``rank_rules`` used before it scored a cached
-upper-set table, run on the package's poset and laws, as the reference
-for that table.
+compare the two paths.  ``rank_scan``, ``upper_set_table`` and
+``parent_tree`` are the exceptions.  Run on the package's poset and
+laws, they keep what ``rank_rules`` once did, as references: the
+antichain scan it used before it scored cached upper sets, and the
+upper-set table and the parent tree derived from it that it kept
+before it kept the tree alone.
 """
 
 import math
@@ -341,3 +343,28 @@ def rank_scan(request):
         ranked.append(RankedRule(rank, ac, ",".join(names) if names else None, rule,
                                  loss(rule, w, profile)))
     return ranked
+
+
+def upper_set_table(n, mode):
+    """Ascending node indices of each upper set of the ranking's poset, in
+    bitset order: the table that ``rank_rules`` kept before it kept only
+    the parent tree, built as it was then."""
+    from dilemma.poset import build_poset
+
+    po = build_poset(n, "extended" if mode == "extended" else "quotient")
+    digits = f"0{len(po.nodes)}b"
+    masks = sorted(upper for upper, _ in po.upper_sets())
+    return tuple(tuple(i for i, bit in enumerate(format(mask, digits)) if bit == "1")
+                 for mask in masks)
+
+
+def parent_tree(rows):
+    """(parent row, last node, end row) of every row of an upper-set table
+    after the empty first one, derived from the rows as ``rank_rules``
+    did while it kept the table."""
+    where = {row: r for r, row in enumerate(rows)}
+    parents = [0] + [where[row[:-1]] for row in rows[1:]]
+    ends = list(range(1, len(rows) + 1))
+    for r in range(len(rows) - 1, 0, -1):  # subtree sizes, leaves first
+        ends[parents[r]] += ends[r] - r
+    return tuple(zip(parents[1:], (row[-1] for row in rows[1:]), ends[1:]))

@@ -185,6 +185,18 @@ def test_rank_respects_bounds(capsys):
     assert "[pb]" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimal", "--n", "7", "--w", "0.5", "--theta", "0.6,0.6,0.6,0.6,0.6,0.7,0.8"],
+    ["rank", "--n", "11", "--w", "0.5", "--theta", "0.7", "--mode", "compact"],
+])
+def test_a_refused_size_names_the_force_flag(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--force" in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_classify_text_frozen_thresholds(capsys):
     out = run_ok(capsys, "classify", "--n", "7", "--w", "0.5")
     for needle in ("(3,4)", "(2,3)", "(1,2)", "(2,5)", "(1,4)", "(1,6)"):

@@ -4,13 +4,15 @@
 compensated from Python 3.12 on, so a float total, or the order of an
 exact tie, could print differently on another interpreter.  For the
 interpreter running the suite and for each of python3.10, python3.12
-and python3.13 that starts from PATH, one subprocess compiles every
-module of the package and runs every recorded stdout digest of a
-numpy-free command through ``cli.run``: the homogeneous commands, and
-the per-voter ones up to n = 9, whose laws are plain Python.  The
-subprocess needs no numpy, pytest or hypothesis.  An interpreter that
-is missing, or that does not start, is skipped with the reason;
-nothing is installed.
+and python3.13 that starts, one subprocess compiles every module of
+the package and runs every recorded stdout digest of a numpy-free
+command through ``cli.run``: the homogeneous commands, and the
+per-voter ones up to n = 9, whose laws are plain Python.  The
+subprocess needs no numpy, pytest or hypothesis.  An interpreter is
+taken from PATH, or, when the pyenv shim there does not start it, from
+its build under ``$PYENV_ROOT/versions`` (``~/.pyenv`` by default).
+One that is missing, or that does not start, is skipped with the
+reason; nothing is installed.
 """
 
 import json
@@ -43,6 +45,11 @@ MORE_DIGESTS = (
      "abb81c2aa622d3e7956d34adc1c5f6630dd23ad7f863a6dff88da6df4b3254dd"),
     ("hasse --n 3",
      "83a8fa3848b6baaa5717866c475ee22635c6fcab646e6ef1e9ab2078edf8c602"),
+    ("optimal --n 7 --w 0.5 --theta 0.6,0.65,0.7,0.75,0.8,0.85,0.9 --force --format json",
+     "c61e69d06c820a9dedd8bec31d68b2a66a58defea9781a8e4066af0f9696dc49"),
+    ("rank --n 7 --w 0.4 --theta 0.56,0.6,0.64,0.68,0.72,0.76,0.8 --mode extended --force"
+     " --k 8 --precision 17",
+     "8da2040af1b3f01a74d47ff16237801c91ed28d2be55342dd5439c41d6467ae5"),
 )
 
 
@@ -85,17 +92,30 @@ print(json.dumps(digests))
 """
 
 
+def _starts(path: str) -> str:
+    """'' if the interpreter at path starts, else the first line of why not."""
+    probe = subprocess.run([path, "-c", "pass"], capture_output=True, text=True)
+    if probe.returncode == 0:
+        return ""
+    return (probe.stderr.strip().splitlines() or ["no message"])[0]
+
+
 def interpreter(name: str) -> str:
+    """The interpreter to run as name: the suite's own for "this", else the
+    one on PATH, else, when that is a pyenv shim that does not start, the
+    matching build under $PYENV_ROOT (default ~/.pyenv) run directly."""
     if name == "this":
         return sys.executable
     path = shutil.which(name)
-    if path is None:
-        pytest.skip(f"{name} is not on PATH")
-    probe = subprocess.run([path, "-c", "pass"], capture_output=True, text=True)
-    if probe.returncode != 0:
-        pytest.skip(f"{name} on PATH does not start: "
-                    + (probe.stderr.strip().splitlines() or ["no message"])[0])
-    return path
+    why = f"{name} is not on PATH" if path is None else _starts(path)
+    if not why:
+        return path
+    root = pathlib.Path(os.environ.get("PYENV_ROOT") or pathlib.Path.home() / ".pyenv")
+    version = name.removeprefix("python")
+    for build in sorted(root.glob(f"versions/{version}.*/bin/{name}")):
+        if not _starts(str(build)):
+            return str(build)
+    pytest.skip(why if path is None else f"{name} on PATH does not start: {why}")
 
 
 @pytest.mark.parametrize("name", ["this", "python3.10", "python3.12", "python3.13"])

@@ -3,6 +3,7 @@ import hashlib
 import heapq
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -30,8 +31,7 @@ from dilemma import (
 )
 from dilemma.cli import run
 import dilemma.ranking
-from dilemma.ranking import (ENUMERATION_BOUND, _MARGIN, _masses, _scored, _table,
-                           _tree)
+from dilemma.ranking import ENUMERATION_BOUND, _MARGIN, _masses, _row, _scored, _tree
 from dilemma.tables import _layout
 
 # SHA-256 prefixes of `dilemma rank --format json` then `--format text
@@ -270,7 +270,8 @@ def test_forced_table_ranking_matches_the_antichain_scan(n, mode):
 
 
 # SHA-256 of repr of the upper-set table, recorded before the table was
-# read off Poset.upper_sets
+# read off Poset.upper_sets; ranking now keeps only the parent tree, and
+# the rows rebuilt from it are the table
 TABLE_DIGESTS = {
     (5, "extended"): "3676ad6ebdd75d7aa46f436ed6e97fbea4ce3d85a21cba7b13e337093d2d846e",
     (9, "compact"): "093a1460a70587dbe2abdef7911b90974757474a0ab4354a60f51b9f4456098f",
@@ -279,20 +280,40 @@ TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("n, mode", sorted(TABLE_DIGESTS))
 def test_upper_set_table_is_byte_identical(n, mode):
-    rows = _table(n, mode)
+    tree = _tree(n, mode)
+    rows = tuple(tuple(_row(tree, r)) for r in range(len(tree) + 1))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == TABLE_DIGESTS[n, mode]
 
 
 def test_upper_set_tables_stay_within_the_cache_bound():
-    # a table is kept by its size's node layout, and dropped with it
-    first = _table(1, "compact")
+    # a tree is kept by its size's node layout, and dropped with it
+    first = _tree(1, "compact")
     for mode, ns in (("extended", (1, 3, 5)), ("compact", (1, 3, 5, 7, 9))):
         for n in ns:
             rank_rules(RankingRequest(n, 0.5, 0.6, mode=mode, k=1))
-            assert _table(n, mode) is _table(n, mode)
+            assert _tree(n, mode) is _tree(n, mode)
     assert _layout.cache_info().maxsize == 4  # sizes 3 to 9 evict size 1
-    again = _table(1, "compact")
+    again = _tree(1, "compact")
     assert again == first and again is not first
+
+
+def test_a_forced_size_keeps_only_its_tree():
+    # the parent tree alone, 38,903 triples; with the table of node
+    # tuples beside it, a first n = 7 extended query kept 17.4 MB
+    n, profile = 7, PerVoter((0.6,) * 5 + (0.7, 0.8))
+    for m in (1, 3, 5, 9):  # evict size 7, and any tree it kept
+        _layout(m)
+    build_poset(n, "extended")
+    for state in (State.PnQ, State.PQ):  # the laws stay in their cache
+        node_law(n, state, profile)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rank_rules(RankingRequest(n, 0.5, profile, mode="extended", k=5, force=True))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 6_000_000
 
 
 @pytest.mark.parametrize("mode", ["extended", "quotient"])
@@ -307,19 +328,23 @@ def test_node_order_is_a_linear_extension_of_the_covers(mode):
 @pytest.mark.parametrize("n, mode", [(n, "extended") for n in (1, 3, 5, 7)]
                          + [(n, "compact") for n in (1, 3, 5, 7, 9, 11)])
 def test_rows_rebuild_from_their_parents(n, mode):
-    # n = 7 extended and n = 11 compact are forced sizes
+    # n = 7 extended and n = 11 compact are forced sizes; the tree read
+    # off the bitmasks is the one derived from the table of node tuples
+    tree, table = _tree(n, mode), oracles.upper_set_table(n, mode)
+    assert tree == oracles.parent_tree(table)
     rows = [()]
-    for parent, last, _ in _tree(n, mode):
+    for parent, last, _ in tree:
         assert parent < len(rows)
         rows.append(rows[parent] + (last,))
-    assert tuple(rows) == _table(n, mode)
+    assert tuple(rows) == table
+    assert [tuple(_row(tree, r)) for r in range(len(rows))] == rows
     # rows r+1 .. end-1 are exactly the rows that extend row r: each of
     # them starts with row r, and as many rows in all do
     extending = {}
     for row in rows:
         for i in range(len(row)):
             extending[row[:i]] = extending.get(row[:i], 0) + 1
-    for r, (_, _, end) in enumerate(_tree(n, mode), start=1):
+    for r, (_, _, end) in enumerate(tree, start=1):
         row = rows[r]
         assert all(rows[q][:len(row)] == row for q in range(r + 1, end))
         assert end - r - 1 == extending.get(row, 0)
@@ -340,9 +365,8 @@ def _node_masses(n, mode, profile):
     return _masses(n, mode, node_law(n, State.PnQ, profile), node_law(n, State.PQ, profile))
 
 
-def _every_row_scored(n, mode, fp_c, fn_c, w):
+def _every_row_scored(rows, fp_c, fn_c, w):
     """(score, fp, row) of every row, each mass summed term by term."""
-    rows = _table(n, mode)
     fp, miss = _term_by_term(rows, fp_c), _term_by_term(rows, fn_c)
     fn_total = 0.0
     for m in fn_c:
@@ -368,7 +392,7 @@ def test_rows_are_scored_from_their_parents(req):
     # fold, skips no row that reaches the k best, and keeps the k best of
     # nsmallest over every (score, fp, row)
     fp_c, fn_c = _node_masses(req.n, req.mode, req.profile)
-    every = _every_row_scored(req.n, req.mode, fp_c, fn_c, req.w)
+    every = _every_row_scored(oracles.upper_set_table(req.n, req.mode), fp_c, fn_c, req.w)
     assert _scored(_tree(req.n, req.mode), fp_c, fn_c, req.w, req.k) == \
         heapq.nsmallest(req.k, every)
 
@@ -376,8 +400,9 @@ def test_rows_are_scored_from_their_parents(req):
 @pytest.mark.parametrize("n, mode", [(7, "extended"), (11, "compact")])
 def test_forced_sizes_are_scored_as_every_row(n, mode):
     fp_c, fn_c = _node_masses(n, mode, PerVoter((0.6,) * (n - 2) + (0.7, 0.8)))
+    rows = oracles.upper_set_table(n, mode)
     for w in (0.2, 0.5, 0.8):
-        every = _every_row_scored(n, mode, fp_c, fn_c, w)
+        every = _every_row_scored(rows, fp_c, fn_c, w)
         for k in (1, 8, 10**6):
             assert _scored(_tree(n, mode), fp_c, fn_c, w, k) == \
                 heapq.nsmallest(k, every), (w, k)
@@ -413,10 +438,10 @@ def test_float_scores_and_bounds_are_far_inside_the_margin(n, mode, profile):
     for parent, last, _ in tree:
         ex_fp.append(ex_fp[parent] + Fraction(fp_c[last]))
         ex_fn.append(ex_fn[parent] + Fraction(fn_c[last]))
-    fn_total = sum(map(Fraction, fn_c))
+    fn_total, rows = sum(map(Fraction, fn_c)), oracles.upper_set_table(n, mode)
     for w in (5e-324, 0.2, 0.5, 1 - 1e-16):
         fw = Fraction(w)
-        floats = _every_row_scored(n, mode, fp_c, fn_c, w)
+        floats = _every_row_scored(rows, fp_c, fn_c, w)
         for (s, _, _), f, m in zip(floats, ex_fp, ex_fn):
             assert abs(Fraction(s) - (fw * f + (1 - fw) * (fn_total - m))) < _MARGIN / 1000
         gains = [w * f - (1.0 - w) * m for f, m in zip(fp_c, fn_c)]
@@ -461,11 +486,11 @@ def test_each_walked_row_is_scored_with_one_addition_per_mass(monkeypatch):
     assert (fp.reads, fn.reads) == (walked, walked)
     # one pass over both, for fn_total and the node gains; none over the tree
     assert (fp.passes, fn.passes, tree.passes) == (1, 1, 0)
-    assert walked + 1 < len(_table(9, "compact")) / 3
+    assert walked + 1 < (len(_tree(9, "compact")) + 1) / 3
 
 
 def test_the_mass_counter_sees_a_refold_of_every_row():
-    rows = _table(9, "compact")
+    rows = oracles.upper_set_table(9, "compact")
     masses = _CountingMasses([0.25] * len(_layout(9).groups))
     _term_by_term(rows, masses)
     assert masses.reads == sum(len(row) for row in rows) == 28_160

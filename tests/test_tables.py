@@ -23,7 +23,7 @@ from dilemma import (
     whitney_numbers,
 )
 from dilemma.poset import MODES
-from dilemma.ranking import _table
+from dilemma.ranking import _tree
 from dilemma.tables import (
     _layout,
     class_sort_key,
@@ -99,12 +99,12 @@ def test_mutating_an_enumeration_leaves_the_cache_intact():
 
 
 def test_what_a_size_derives_lives_and_dies_with_its_layout():
-    # n = 9 is the largest size with an unforced compact rank table
+    # n = 9 is the largest size with an unforced compact rank tree
     n = 9
     derived = ([build_poset(n, mode) for mode in MODES]
                + [classical_rule(kind, n) for kind in ("pb", "cb", "hb")])
     refs = [weakref.ref(v) for v in derived]
-    rows = _table(n, "compact")
+    rows = _tree(n, "compact")
     del derived
     for m in (1, 3, 5, 7):  # evict size 9
         _layout(m)
@@ -113,7 +113,7 @@ def test_what_a_size_derives_lives_and_dies_with_its_layout():
     po = build_poset(n)
     assert po.nodes is _layout(n).tables
     assert po._up is _layout(n).up
-    again = _table(n, "compact")
+    again = _tree(n, "compact")
     assert again == rows and again is not rows
 
 
